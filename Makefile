@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-cluster stream-chaos bench bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
+.PHONY: all build vet test test-cpu race chaos chaos-cluster stream-chaos bench bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
 
 all: build test
 
@@ -16,6 +16,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The internal packages at one and at four workers per pool (CI runs this):
+# every worker-count-sensitive path — the workpool fan-out, panic
+# attribution, the engines' chunked supersteps — must agree with the serial
+# run.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,4 ./internal/...
 
 # Full suite under the race detector (CI runs this).
 race:
@@ -83,7 +90,7 @@ bench-smoke:
 # detector, zero violations required.
 dag-verify:
 	$(GO) test -race -count=1 ./internal/work/...
-	$(GO) test -race -count=1 -run 'Precedence|DAG|Dagsched|CheckIR' ./internal/oracle
+	$(GO) test -race -count=1 -run 'Precedence|DAG|Dagsched' ./internal/oracle
 	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -family dag
 
 # Regenerate every paper table (EXPERIMENTS.md quotes these).
@@ -108,11 +115,15 @@ fuzz:
 	$(GO) run ./cmd/bandsim fuzz -seeds 1000
 
 # CI's fixed-seed smoke block: race detector on, zero violations required,
-# and the -json output must be byte-identical across two runs.
+# and the -json output must be byte-identical across two runs and across
+# one and four oracle workers.
 fuzz-smoke:
 	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -json > /tmp/parbw_fuzz1.json
 	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -json > /tmp/parbw_fuzz2.json
 	cmp /tmp/parbw_fuzz1.json /tmp/parbw_fuzz2.json
+	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -json -workers 1 > /tmp/parbw_fuzz_w1.json
+	$(GO) run -race ./cmd/bandsim fuzz -seeds 200 -json -workers 4 > /tmp/parbw_fuzz_w4.json
+	cmp /tmp/parbw_fuzz_w1.json /tmp/parbw_fuzz_w4.json
 
 # The capture files the repo ships with.
 outputs:

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"parbw/internal/work"
 	"parbw/internal/workgen"
 )
 
@@ -13,14 +14,13 @@ import (
 // for fixed bugs. Entries are checked into testdata/corpus/ and replayed by
 // go test; see Replay.
 type Entry struct {
-	Note       string            `json:"note,omitempty"`
-	Violations []string          `json:"violations"`
-	Workload   *workgen.Workload `json:"workload"`
+	Note       string   `json:"note,omitempty"`
+	Violations []string `json:"violations"`
+	Workload   *work.IR `json:"workload"`
 }
 
 // Encode returns the canonical byte encoding of the entry (compact JSON in
-// declaration order, newline-terminated), byte-stable like
-// workgen.Workload.Encode.
+// declaration order, newline-terminated), byte-stable like work.IR.Encode.
 func (e *Entry) Encode() ([]byte, error) {
 	if e.Violations == nil {
 		e.Violations = []string{}
@@ -32,7 +32,9 @@ func (e *Entry) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeEntry parses a corpus entry.
+// DecodeEntry parses a corpus entry. Besides JSON well-formedness it checks
+// the workload's format version and generator family; everything else is
+// left to the oracles, so structurally invalid workloads stay recordable.
 func DecodeEntry(data []byte) (*Entry, error) {
 	var e Entry
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -41,8 +43,11 @@ func DecodeEntry(data []byte) (*Entry, error) {
 	if e.Workload == nil {
 		return nil, fmt.Errorf("oracle: corpus entry has no workload")
 	}
-	if e.Workload.Version != workgen.Version {
+	if e.Workload.Version != work.Version {
 		return nil, fmt.Errorf("oracle: corpus entry has unsupported workload version %d", e.Workload.Version)
+	}
+	if _, err := workgen.ParseFamily(e.Workload.Family); err != nil {
+		return nil, fmt.Errorf("oracle: corpus entry: %w", err)
 	}
 	return &e, nil
 }

@@ -97,7 +97,7 @@ func TestBreakForTestHook(t *testing.T) {
 
 // dagWorkload generates a dag-family workload that actually carries a
 // precedence layer and at least one cross-processor send.
-func dagWorkload(t *testing.T) *workgen.Workload {
+func dagWorkload(t *testing.T) *work.IR {
 	t.Helper()
 	for seed := uint64(0); seed < 50; seed++ {
 		w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyDAG, Seed: seed, P: 4, Steps: 3})
@@ -155,13 +155,13 @@ func TestPrecedenceInvariantCatchesMisphasedSend(t *testing.T) {
 		Prec: &work.Prec{Proc: []int{0, 1}, Step: []int{0, 1}, Edges: [][2]int{{0, 1}}},
 	}
 	ir.SealTotals()
-	names := Names(CheckIR(ir))
+	names := Names(Check(ir))
 	if len(names) != 1 || names[0] != "workload/precedence" {
 		t.Fatalf("mis-phased dependency message reported %v, want exactly workload/precedence", names)
 	}
 }
 
-func TestCheckIRAcceptsDagschedLowerings(t *testing.T) {
+func TestCheckAcceptsDagschedLowerings(t *testing.T) {
 	// Both placement policies, batched and not, must satisfy every
 	// invariant — Lower's conformance contract.
 	d := &dagsched.DAG{
@@ -193,7 +193,7 @@ func TestCheckIRAcceptsDagschedLowerings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if vs := CheckIR(ir); len(vs) != 0 {
+		if vs := Check(ir); len(vs) != 0 {
 			t.Fatalf("%s: violations: %+v", tc.name, vs)
 		}
 	}
@@ -257,5 +257,27 @@ func TestDecodeEntryRejects(t *testing.T) {
 	}
 	if _, err := DecodeEntry([]byte(`{"violations":[]}`)); err == nil {
 		t.Fatal("entry without workload accepted")
+	}
+	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 5, P: 4, M: 2, Steps: 1})
+	for _, c := range []struct {
+		name    string
+		mutate  func(*work.IR)
+		wantErr string
+	}{
+		{"bad version", func(w *work.IR) { w.Version = 99 }, "unsupported workload version 99"},
+		{"bad family", func(w *work.IR) { w.Family = "nope" }, "unknown family"},
+		{"no family", func(w *work.IR) { w.Family = "" }, "unknown family"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := w.Clone()
+			c.mutate(bad)
+			data, err := (&Entry{Workload: bad}).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeEntry(data); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("DecodeEntry = %v, want error containing %q", err, c.wantErr)
+			}
+		})
 	}
 }

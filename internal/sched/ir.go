@@ -9,24 +9,11 @@ import (
 
 // This file is the scheduler package's IR frontend: work.IR supersteps
 // compile into the same columnar form (compiled) the Plan fast path uses,
-// so every scheduler body runs unchanged over either representation. The
-// IR path additionally preserves the workload's explicit slot schedule,
+// so the scheduler bodies with IR entry points (UnbalancedSendIR,
+// NaiveSendIR) run unchanged over either representation. The IR path
+// additionally preserves the workload's explicit slot schedule,
 // which Replay injects verbatim — pricing a schedule exactly as lowered
 // (the DAG experiments) rather than re-scheduling it.
-
-// FromPlan lifts a plan into a single-superstep IR on a machine with
-// bandwidth parameter m and latency l, slots packed densely per processor
-// in row order. The conversion is lossless: ToPlan inverts it exactly,
-// message payloads included.
-func FromPlan(plan Plan, m, l int) (*work.IR, error) {
-	return work.FromRows([][]bsp.Msg(plan), m, l)
-}
-
-// ToPlan projects one IR superstep into the Plan shape, dropping the slot
-// schedule (the randomized schedulers choose their own slots).
-func ToPlan(ir *work.IR, step int) Plan {
-	return Plan(ir.Rows(step))
-}
 
 // compileIR flattens one IR superstep into the scheduler's columnar form:
 // a single counting pass sizes the per-processor rows, then a cursor pass
@@ -117,32 +104,7 @@ func UnbalancedSendIR(m *bsp.Machine, ir *work.IR, step int, opt Options) Result
 	return unbalancedSendCompiled(m, compileIR(m, ir, step), opt)
 }
 
-// UnbalancedConsecutiveSendIR is UnbalancedConsecutiveSend over one IR
-// superstep's traffic.
-func UnbalancedConsecutiveSendIR(m *bsp.Machine, ir *work.IR, step int, opt Options) Result {
-	return unbalancedConsecutiveSendCompiled(m, compileIR(m, ir, step), opt)
-}
-
-// UnbalancedGranularSendIR is UnbalancedGranularSend over one IR
-// superstep's traffic.
-func UnbalancedGranularSendIR(m *bsp.Machine, ir *work.IR, step int, opt Options) Result {
-	return unbalancedGranularSendCompiled(m, compileIR(m, ir, step), opt)
-}
-
 // NaiveSendIR is NaiveSend over one IR superstep's traffic.
 func NaiveSendIR(m *bsp.Machine, ir *work.IR, step int) Result {
 	return naiveSendCompiled(m, compileIR(m, ir, step))
-}
-
-// OfflineSendIR is OfflineSend over one IR superstep's traffic.
-func OfflineSendIR(m *bsp.Machine, ir *work.IR, step int) Result {
-	return offlineSendCompiled(m, compileIR(m, ir, step))
-}
-
-// TemplateSendIR is TemplateSend over one IR superstep's traffic.
-func TemplateSendIR(m *bsp.Machine, ir *work.IR, step int, sep int, opt Options) Result {
-	if sep < 0 {
-		panic("sched: negative separation")
-	}
-	return templateSendCompiled(m, compileIR(m, ir, step), sep, opt)
 }

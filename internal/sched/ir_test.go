@@ -7,6 +7,19 @@ import (
 	"parbw/internal/xrand"
 )
 
+// planIR lifts a plan into a single-superstep IR, each processor's messages
+// packed densely from slot 0 in row order, payloads included.
+func planIR(plan Plan, m, l int) *work.IR {
+	b := work.NewBuilder(len(plan), m, l)
+	b.Step()
+	for proc, msgs := range plan {
+		for _, msg := range msgs {
+			b.SendMsg(proc, work.Send{Dst: int(msg.Dst), Len: int(msg.Len), Tag: msg.Tag, A: msg.A, B: msg.B, C: msg.C})
+		}
+	}
+	return b.IR()
+}
+
 // The contract of the IR entry points: over the same traffic on
 // identically-seeded machines, each produces a Result identical to its
 // Plan counterpart — same RNG draw order, same costs.
@@ -14,10 +27,7 @@ func TestIREntryPointsMatchPlanEntryPoints(t *testing.T) {
 	rng := xrand.New(3)
 	p, mm, l := 16, 4, 2
 	plan := ZipfPlan(rng, p, 200, 1.2)
-	ir, err := FromPlan(plan, mm, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ir := planIR(plan, mm, l)
 	type pair struct {
 		name     string
 		fromPlan func() Result
@@ -29,21 +39,9 @@ func TestIREntryPointsMatchPlanEntryPoints(t *testing.T) {
 		{"UnbalancedSend",
 			func() Result { return UnbalancedSend(machine(p, mm, l, seed), plan, opt) },
 			func() Result { return UnbalancedSendIR(machine(p, mm, l, seed), ir, 0, opt) }},
-		{"UnbalancedConsecutiveSend",
-			func() Result { return UnbalancedConsecutiveSend(machine(p, mm, l, seed), plan, opt) },
-			func() Result { return UnbalancedConsecutiveSendIR(machine(p, mm, l, seed), ir, 0, opt) }},
-		{"UnbalancedGranularSend",
-			func() Result { return UnbalancedGranularSend(machine(p, mm, l, seed), plan, opt) },
-			func() Result { return UnbalancedGranularSendIR(machine(p, mm, l, seed), ir, 0, opt) }},
 		{"NaiveSend",
 			func() Result { return NaiveSend(machine(p, mm, l, seed), plan) },
 			func() Result { return NaiveSendIR(machine(p, mm, l, seed), ir, 0) }},
-		{"OfflineSend",
-			func() Result { return OfflineSend(machine(p, mm, l, seed), plan) },
-			func() Result { return OfflineSendIR(machine(p, mm, l, seed), ir, 0) }},
-		{"TemplateSend",
-			func() Result { return TemplateSend(machine(p, mm, l, seed), plan, 2, opt) },
-			func() Result { return TemplateSendIR(machine(p, mm, l, seed), ir, 0, 2, opt) }},
 	}
 	for _, pr := range pairs {
 		a, b := pr.fromPlan(), pr.fromIR()
@@ -56,10 +54,7 @@ func TestIREntryPointsMatchPlanEntryPoints(t *testing.T) {
 func TestCompileIRMatchesCompile(t *testing.T) {
 	p, mm, l := 8, 2, 1
 	plan := SkewedExchangePlan(p, 2, 4, 1)
-	ir, err := FromPlan(plan, mm, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ir := planIR(plan, mm, l)
 	m1 := machine(p, mm, l, 1)
 	a := compile(m1, plan)
 	b := compileIR(m1, ir, 0)
@@ -81,7 +76,7 @@ func TestCompileIRMatchesCompile(t *testing.T) {
 			t.Fatalf("msg %d: %+v off %d != %+v off %d", k, a.msgs[k], a.off[k], b.msgs[k], b.off[k])
 		}
 	}
-	// FromPlan packs densely, so the IR slots must equal the row offsets.
+	// planIR packs densely, so the IR slots must equal the row offsets.
 	for k := range b.slots {
 		if b.slots[k] != b.off[k] {
 			t.Fatalf("slot %d: %d != off %d", k, b.slots[k], b.off[k])
@@ -93,14 +88,11 @@ func TestPlanIRRoundTrip(t *testing.T) {
 	rng := xrand.New(5)
 	p := 8
 	plan := UnbalancedExchangePlan(rng, p, 6)
-	ir, err := FromPlan(plan, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ir := planIR(plan, 2, 1)
 	if err := ir.Validate(); err != nil {
-		t.Fatalf("FromPlan produced invalid IR: %v", err)
+		t.Fatalf("dense plan lift produced invalid IR: %v", err)
 	}
-	back := ToPlan(ir, 0)
+	back := Plan(ir.Rows(0))
 	if len(back) != len(plan) {
 		t.Fatalf("procs: %d != %d", len(back), len(plan))
 	}

@@ -305,10 +305,7 @@ func unbalancedSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
 // from a uniformly random start in [0, T); the expected completion gains an
 // additive x̄' term (x̄' = max x_i over non-overloaded processors).
 func UnbalancedConsecutiveSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	return unbalancedConsecutiveSendCompiled(m, compile(m, plan), opt)
-}
-
-func unbalancedConsecutiveSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
+	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	T := period(n, m.Cost().M, opt.eps())
 	st := m.Superstep(func(c *bsp.Ctx) {
@@ -333,10 +330,7 @@ func unbalancedConsecutiveSendCompiled(m *bsp.Machine, cp *compiled, opt Options
 // (stated requirement p < e^{αm} instead of n < e^{αm}). The period is
 // c·n/m with c = Options.GranularC.
 func UnbalancedGranularSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	return unbalancedGranularSendCompiled(m, compile(m, plan), opt)
-}
-
-func unbalancedGranularSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
+	cp := compile(m, plan)
 	p := m.P()
 	n, tau := learnN(m, cp.x, opt)
 	mm := m.Cost().M
@@ -396,10 +390,7 @@ func naiveSendCompiled(m *bsp.Machine, cp *compiled) Result {
 // models a scheduler with complete advance knowledge, the yardstick of
 // Theorems 6.2–6.4.
 func OfflineSend(m *bsp.Machine, plan Plan) Result {
-	return offlineSendCompiled(m, compile(m, plan))
-}
-
-func offlineSendCompiled(m *bsp.Machine, cp *compiled) Result {
+	cp := compile(m, plan)
 	p := m.P()
 	xb, _ := cp.bars()
 	T := (cp.n + m.Cost().M - 1) / m.Cost().M
@@ -439,10 +430,7 @@ func TemplateSend(m *bsp.Machine, plan Plan, sep int, opt Options) Result {
 	if sep < 0 {
 		panic("sched: negative separation")
 	}
-	return templateSendCompiled(m, compile(m, plan), sep, opt)
-}
-
-func templateSendCompiled(m *bsp.Machine, cp *compiled, sep int, opt Options) Result {
+	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	stride := sep + 1
 	T := period(n*stride, m.Cost().M, opt.eps())

@@ -736,9 +736,7 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 		jobCancel()
 		return nil, ErrDraining
 	}
-	select {
-	case s.queue <- job:
-	default:
+	if len(s.queue) == cap(s.queue) {
 		// Admission control: shed instead of admitting work we cannot
 		// start. The job is never registered, so nothing leaks. The hint is
 		// computed at the shed moment from the backlog and drain rate.
@@ -748,16 +746,11 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 		jobCancel()
 		return nil, &QueueFullError{Depth: s.opts.QueueDepth, RetryAfter: retryAfter}
 	}
-	s.seq++
-	job.id = fmt.Sprintf("job-%06d", s.seq)
-	s.jobs[job.id] = job
-	s.order = append(s.order, job.id)
-	s.stats.JobsAccepted++
-	s.pruneLocked()
-	s.mu.Unlock()
 	// Admission events: one per cell, carrying the full resolved identity so
 	// a stream consumer needs no side lookups. Subscribers attach later (they
-	// need the job id first); the replay ring catches them up.
+	// need the job id first); the replay ring catches them up. They go out
+	// before the job is enqueued, so the dispatcher's running and started
+	// events cannot precede them.
 	job.bus.publish(Event{Type: EventJob, Task: -1, State: StatusQueued})
 	for i, t := range tasks {
 		job.bus.publish(Event{
@@ -766,6 +759,14 @@ func (s *Server) Submit(req RunRequest) (*Job, error) {
 			Key: t.Key, Node: t.Owner,
 		})
 	}
+	s.queue <- job // never blocks: Submit is the only sender and holds s.mu
+	s.seq++
+	job.id = fmt.Sprintf("job-%06d", s.seq)
+	s.jobs[job.id] = job
+	s.order = append(s.order, job.id)
+	s.stats.JobsAccepted++
+	s.pruneLocked()
+	s.mu.Unlock()
 	return job, nil
 }
 
@@ -1019,8 +1020,12 @@ func (s *Server) runJob(job *Job) {
 	ctx, cancelTimeout := context.WithTimeout(job.runCtx, job.timeout)
 	defer cancelTimeout()
 
-	s.pool.ForCtx(ctx, len(tasks), func(i int) {
-		s.runTask(ctx, job, i, tasks[i])
+	// Once ctx is done no further task starts; in-flight tasks watch ctx
+	// themselves, and the sweep below cancels whatever never ran.
+	s.pool.ForChunks(len(tasks), func(lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			s.runTask(ctx, job, i, tasks[i])
+		}
 	})
 
 	state := StatusDone

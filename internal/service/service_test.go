@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"parbw/internal/bsp"
 	"parbw/internal/harness"
+	"parbw/internal/model"
 	"parbw/internal/result"
 	"parbw/internal/runstore"
 )
@@ -317,6 +319,84 @@ func TestExecutorRecoversPanics(t *testing.T) {
 	}
 	if s.Stats().TaskPanics != 2 {
 		t.Fatalf("panic counter = %d, want 2", s.Stats().TaskPanics)
+	}
+}
+
+// A processor program that panics inside a multi-worker superstep must fail
+// its task with the panic text, never crash the process from an engine
+// worker goroutine, and leave the server able to run the next job.
+func TestExecutorRecoversSuperstepPanics(t *testing.T) {
+	boom := func(id string, cfg harness.Config) (*result.Result, error) {
+		if id != "table1/broadcast" {
+			return DefaultRunner(id, cfg)
+		}
+		m := bsp.New(bsp.Config{P: 8, Cost: model.BSPg(1, 1), Seed: 1, Workers: 4})
+		m.Superstep(func(c *bsp.Ctx) {
+			if c.ID() == 5 {
+				panic("proc 5 exploded")
+			}
+		})
+		return nil, errors.New("superstep returned despite a panicking processor")
+	}
+	s := newTestServer(t, Options{Runner: boom, Retries: -1, Workers: 1})
+	job, err := s.Submit(RunRequest{Experiments: []string{"table1/broadcast"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := job.Wait(context.Background()); state != StatusFailed {
+		t.Fatalf("job state %q, want failed", state)
+	}
+	if task := job.View().Tasks[0]; task.Status != StatusFailed || !strings.Contains(task.Error, "proc 5 exploded") {
+		t.Fatalf("panic not surfaced: %+v", task)
+	}
+	next, err := s.Submit(RunRequest{Experiments: []string{"table1/parity"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state := next.Wait(context.Background()); state != StatusDone {
+		t.Fatalf("next job state %q, want done", state)
+	}
+}
+
+// Cancellation must drain promptly: with many tasks queued behind a held
+// first wave, cancelling mid-flight starts no further task — each worker
+// finishes at most its in-flight task and the rest end cancelled.
+func TestExecutorCancellationDrainsPromptly(t *testing.T) {
+	const workers = 4
+	release := make(chan struct{})
+	var started atomic.Int32
+	slow := func(id string, cfg harness.Config) (*result.Result, error) {
+		started.Add(1)
+		<-release
+		return DefaultRunner(id, cfg)
+	}
+	s := newTestServer(t, Options{Runner: slow, Workers: workers})
+	job, err := s.Submit(RunRequest{Experiments: []string{"all"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for started.Load() < workers {
+		time.Sleep(time.Millisecond)
+	}
+	job.Cancel()
+	close(release)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if state := job.Wait(ctx); state != StatusCancelled {
+		t.Fatalf("job state %q, want cancelled", state)
+	}
+	if n := started.Load(); n > workers {
+		t.Fatalf("%d tasks started, want at most the %d in flight at cancellation", n, workers)
+	}
+	cancelled := 0
+	for _, task := range job.View().Tasks {
+		if task.Status == StatusCancelled {
+			cancelled++
+		}
+	}
+	if want := len(job.View().Tasks) - workers; cancelled < want {
+		t.Fatalf("%d tasks cancelled, want at least %d", cancelled, want)
 	}
 }
 

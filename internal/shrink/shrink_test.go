@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"parbw/internal/oracle"
-	"parbw/internal/sched"
+	"parbw/internal/work"
 	"parbw/internal/workgen"
 )
 
 // sameNames reports whether the oracle violation names of w equal want.
-func sameNames(w *workgen.Workload, want []string) bool {
+func sameNames(w *work.IR, want []string) bool {
 	got := oracle.Names(oracle.Check(w))
 	if len(got) != len(want) {
 		return false
@@ -39,7 +39,7 @@ func TestShrinkBrokenInvariantToMinimal(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("seed %d: hook did not break the oracle", seed)
 		}
-		res := Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
+		res := Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
 		got := res.Workload
 		if len(got.Steps) > 3 {
 			t.Fatalf("seed %d: shrunk to %d supersteps, want <= 3", seed, len(got.Steps))
@@ -70,7 +70,7 @@ func TestShrinkPreservesTotalsDelta(t *testing.T) {
 	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyBalls, Seed: 4})
 	w.TotalFlits += 7
 	want := oracle.Names(oracle.Check(w))
-	res := Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
+	res := Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
 	got := res.Workload
 	if !sameNames(got, want) {
 		t.Fatal("shrunk workload no longer fails the same way")
@@ -83,7 +83,7 @@ func TestShrinkPreservesTotalsDelta(t *testing.T) {
 func TestNonFailingInputReturnedUnchanged(t *testing.T) {
 	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 5})
 	enc, _ := w.Encode()
-	res := Minimize(w, func(c *workgen.Workload) bool { return len(oracle.Check(c)) > 0 }, Options{})
+	res := Minimize(w, func(c *work.IR) bool { return len(oracle.Check(c)) > 0 }, Options{})
 	enc2, _ := res.Workload.Encode()
 	if string(enc) != string(enc2) {
 		t.Fatal("non-failing input was modified")
@@ -96,7 +96,7 @@ func TestInputNotMutated(t *testing.T) {
 	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
 	enc, _ := w.Encode()
 	want := oracle.Names(oracle.Check(w))
-	Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
+	Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
 	enc2, _ := w.Encode()
 	if string(enc) != string(enc2) {
 		t.Fatal("Minimize mutated its input workload")
@@ -106,7 +106,7 @@ func TestInputNotMutated(t *testing.T) {
 func TestNondeterministicPredicateRejected(t *testing.T) {
 	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 9})
 	flip := false
-	res := Minimize(w, func(c *workgen.Workload) bool {
+	res := Minimize(w, func(c *work.IR) bool {
 		flip = !flip
 		return flip
 	}, Options{})
@@ -125,7 +125,7 @@ func TestEvalBudgetRespected(t *testing.T) {
 	oracle.BreakForTest = "workload/conserve"
 	defer func() { oracle.BreakForTest = "" }()
 	w := workgen.Generate(workgen.GenConfig{Family: workgen.FamilyHRel, Seed: 1})
-	res := Minimize(w, func(c *workgen.Workload) bool {
+	res := Minimize(w, func(c *work.IR) bool {
 		return sameNames(c, []string{"workload/conserve"})
 	}, Options{MaxEvals: 10})
 	if res.Evals > 10 {
@@ -173,10 +173,8 @@ func TestShrinkKeepsSlotSchedulesConsistent(t *testing.T) {
 		t.Skip("empty workload")
 	}
 	want := oracle.Names(oracle.Check(w))
-	res := Minimize(w, func(c *workgen.Workload) bool { return sameNames(c, want) }, Options{})
-	for si, step := range res.Workload.Steps {
-		if err := sched.CheckSlotSchedule(res.Workload.P, step.Sends); err != nil {
-			t.Fatalf("superstep %d of shrunk workload invalid: %v", si, err)
-		}
+	res := Minimize(w, func(c *work.IR) bool { return sameNames(c, want) }, Options{})
+	if err := res.Workload.Validate(); err != nil {
+		t.Fatalf("shrunk workload invalid: %v", err)
 	}
 }

@@ -212,22 +212,20 @@ func TestHist(t *testing.T) {
 	}
 }
 
-func TestRowsFromRowsRoundTrip(t *testing.T) {
+func TestRowsRoundTrip(t *testing.T) {
 	rows := [][]bsp.Msg{
 		{{Dst: 1, Len: 2, Tag: 3, A: 41, B: -2, C: 9}, {Dst: 2, A: 5}},
 		nil,
 		{{Dst: 0, Len: 1}},
 	}
-	ir, err := FromRows(rows, 2, 4)
-	if err != nil {
-		t.Fatal(err)
+	b := NewBuilder(len(rows), 2, 4)
+	b.Step()
+	for proc, msgs := range rows {
+		for _, m := range msgs {
+			b.SendMsg(proc, Send{Dst: int(m.Dst), Len: int(m.Len), Tag: m.Tag, A: m.A, B: m.B, C: m.C})
+		}
 	}
-	if ir.P != 3 || ir.M != 2 || ir.L != 4 {
-		t.Fatalf("shape = p%d m%d l%d", ir.P, ir.M, ir.L)
-	}
-	if err := ir.Validate(); err != nil {
-		t.Fatalf("FromRows produced invalid IR: %v", err)
-	}
+	ir := b.MustIR()
 	// Dense packing: proc 0's second send starts after the first's 2 flits.
 	if ir.Steps[0].Sends[1].Slot != 2 {
 		t.Fatalf("second send slot = %d, want 2", ir.Steps[0].Sends[1].Slot)
@@ -245,15 +243,6 @@ func TestRowsFromRowsRoundTrip(t *testing.T) {
 				t.Fatalf("proc %d msg %d: %+v != %+v", p, i, back[p][i], rows[p][i])
 			}
 		}
-	}
-}
-
-func TestFromRowsRejects(t *testing.T) {
-	if _, err := FromRows([][]bsp.Msg{{{Dst: 5}}}, 1, 1); err == nil {
-		t.Fatal("accepted out-of-range dst")
-	}
-	if _, err := FromRows([][]bsp.Msg{{{Dst: 0, Len: -1}}}, 1, 1); err == nil {
-		t.Fatal("accepted negative length")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parbw/internal/sched"
+	"parbw/internal/work"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -108,7 +109,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(enc)
+	back, err := work.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,35 +122,24 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejects(t *testing.T) {
-	if _, err := Decode([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Decode([]byte(`{"version":99,"family":"hrel"}`)); err == nil ||
-		!strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("unknown version accepted: %v", err)
-	}
-}
-
 func TestValidateRejectsTable(t *testing.T) {
-	base := func() *Workload {
+	base := func() *work.IR {
 		return Generate(GenConfig{Family: FamilyHRel, Seed: 5, P: 4, M: 2, Steps: 1})
 	}
 	cases := []struct {
 		name    string
-		mutate  func(*Workload)
+		mutate  func(*work.IR)
 		wantErr string
 	}{
-		{"bad family", func(w *Workload) { w.Family = "nope" }, "unknown family"},
-		{"p zero", func(w *Workload) { w.P = 0 }, "p=0 out of range"},
-		{"p over cap", func(w *Workload) { w.P = MaxP + 1 }, "out of range"},
-		{"m over p", func(w *Workload) { w.M = w.P + 1 }, "m=5 out of range"},
-		{"negative l", func(w *Workload) { w.L = -1 }, "l=-1 out of range"},
-		{"too many steps", func(w *Workload) { w.Steps = make([]Superstep, MaxSteps+1) }, "exceeds cap"},
-		{"slot over cap", func(w *Workload) { w.Steps[0].Sends[0].Slot = MaxSlot + 1 }, "exceeds cap"},
-		{"len over cap", func(w *Workload) { w.Steps[0].Sends[0].Len = MaxMsgLen + 1 }, "exceeds cap"},
-		{"negative slot", func(w *Workload) { w.Steps[0].Sends[0].Slot = -2 }, "negative slot"},
-		{"bad dst", func(w *Workload) { w.Steps[0].Sends[0].Dst = 9 }, "invalid dst"},
+		{"p zero", func(w *work.IR) { w.P = 0 }, "p=0 out of range"},
+		{"p over cap", func(w *work.IR) { w.P = work.MaxP + 1 }, "out of range"},
+		{"m over p", func(w *work.IR) { w.M = w.P + 1 }, "m=5 out of range"},
+		{"negative l", func(w *work.IR) { w.L = -1 }, "l=-1 out of range"},
+		{"too many steps", func(w *work.IR) { w.Steps = make([]work.Step, work.MaxSteps+1) }, "exceeds cap"},
+		{"slot over cap", func(w *work.IR) { w.Steps[0].Sends[0].Slot = work.MaxSlot + 1 }, "exceeds cap"},
+		{"len over cap", func(w *work.IR) { w.Steps[0].Sends[0].Len = work.MaxMsgLen + 1 }, "exceeds cap"},
+		{"negative slot", func(w *work.IR) { w.Steps[0].Sends[0].Slot = -2 }, "negative slot"},
+		{"bad dst", func(w *work.IR) { w.Steps[0].Sends[0].Dst = 9 }, "invalid dst"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -169,7 +159,7 @@ func TestValidateRejectsTable(t *testing.T) {
 func TestPlanAndHist(t *testing.T) {
 	w := Generate(GenConfig{Family: FamilyHRel, Seed: 9, P: 6, M: 3, Steps: 2})
 	for step := range w.Steps {
-		plan := w.Plan(step)
+		plan := sched.Plan(w.Rows(step))
 		if err := sched.CheckPlan(w.P, plan); err != nil {
 			t.Fatalf("step %d: Plan invalid: %v", step, err)
 		}
@@ -207,5 +197,78 @@ func TestDAGRespectsLayers(t *testing.T) {
 	}
 	if traffic == 0 {
 		t.Fatal("20 DAG seeds produced zero sends")
+	}
+}
+
+func TestRoundTripPreservesLyingTotals(t *testing.T) {
+	w := Generate(GenConfig{Family: FamilyBalls, Seed: 4})
+	w.TotalFlits += 7
+	w.TotalSends -= 2
+	enc, err := w.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := work.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.TotalFlits != w.TotalFlits || back.TotalSends != w.TotalSends {
+		t.Fatalf("declared totals not carried verbatim: %d/%d != %d/%d",
+			back.TotalSends, back.TotalFlits, w.TotalSends, w.TotalFlits)
+	}
+}
+
+func TestDAGFamilyCarriesPrecedence(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		w := Generate(GenConfig{Family: FamilyDAG, Seed: seed})
+		if w.Prec == nil {
+			t.Fatalf("seed %d: dag workload has no precedence layer", seed)
+		}
+		if w.Prec.Nodes() == 0 || len(w.Prec.Edges) == 0 {
+			t.Fatalf("seed %d: degenerate precedence layer: %d nodes, %d edges",
+				seed, w.Prec.Nodes(), len(w.Prec.Edges))
+		}
+		if err := w.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// The layer survives the corpus encoding.
+		b, err := w.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := work.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Prec == nil || got.Prec.Nodes() != w.Prec.Nodes() {
+			t.Fatalf("seed %d: precedence layer lost in encode/decode", seed)
+		}
+	}
+}
+
+func TestValidateRejectsBadPrec(t *testing.T) {
+	w := Generate(GenConfig{Family: FamilyDAG, Seed: 1})
+	if w.Prec == nil {
+		t.Skip("seed produced no prec")
+	}
+	w.Prec.Step[0] = len(w.Steps) + 5
+	if err := w.Validate(); err == nil {
+		t.Fatal("out-of-range prec step accepted")
+	}
+}
+
+func TestHRelAndBallsCarryNoPrec(t *testing.T) {
+	for _, fam := range []Family{FamilyHRel, FamilyBalls} {
+		w := Generate(GenConfig{Family: fam, Seed: 3})
+		if w.Prec != nil {
+			t.Fatalf("%s: unexpected precedence layer", fam)
+		}
+		b, err := w.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) == "" || strings.Contains(string(b), `"prec"`) {
+			t.Fatalf("%s: prec field leaked into encoding", fam)
+		}
 	}
 }

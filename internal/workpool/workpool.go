@@ -6,7 +6,6 @@
 package workpool
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -40,132 +39,43 @@ func New(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// For invokes fn(i) for every i in [0, n), distributing contiguous chunks of
-// the index space across the pool's workers. It returns after all calls have
-// completed. fn must be safe to call concurrently for distinct i.
-//
-// Chunking is contiguous rather than strided so that per-processor state
-// arrays are traversed with good locality, which matters when simulating
-// tens of thousands of processors.
-func (p *Pool) For(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForCtx is For with cancellation: once ctx is done, workers stop
-// dispatching new indices and the call drains promptly. In-flight fn calls
-// are never interrupted — fn itself must watch ctx if single calls are
-// long — so at most one call per worker completes after cancellation.
-// Returns ctx.Err() if the loop was cut short, nil if every index ran.
-//
-// The index space is chunked exactly like For; the cancellation check is one
-// atomic-free ctx.Err() poll per index, which is noise next to the work the
-// executor dispatches per index (a whole experiment run).
-func (p *Pool) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			fn(i)
-		}
-		return ctx.Err()
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // ForChunks invokes fn(lo, hi) for contiguous disjoint ranges covering
-// [0, n). It is a lower-level variant of For that lets the caller amortize
-// per-chunk setup (e.g. acquiring a per-worker scratch buffer).
+// [0, n), one range per worker, and returns after every call has finished.
+// Chunking is contiguous rather than strided so that per-processor state
+// arrays are traversed with good locality, and callers amortize per-chunk
+// setup (a scratch buffer, a cancellation check) across the range.
+//
+// A panic in fn never escapes a worker goroutine. Each chunk recovers its
+// own panic and the other chunks run to completion; ForChunks then
+// re-panics on the caller's goroutine with the value from the
+// lowest-numbered chunk that panicked. Chunks are ordered, so that is the
+// panic the serial loop would have raised first, whatever the worker count.
 func (p *Pool) ForChunks(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(p.workers, n)
 	if workers == 1 {
 		fn(0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
+	panics := make([]any, (n+chunk-1)/chunk)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for c := range panics {
+		lo := c * chunk
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
+			defer func() { panics[c] = recover() }()
 			fn(lo, hi)
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 }

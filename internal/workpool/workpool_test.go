@@ -1,114 +1,12 @@
 package workpool
 
 import (
-	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestForCtxCoversAllWithoutCancel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := New(workers)
-		const n = 500
-		var hits [n]int32
-		if err := p.ForCtx(context.Background(), n, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-// Cancellation must drain promptly: with many slow items queued, cancelling
-// mid-flight stops dispatch after at most one in-flight item per worker
-// rather than running out the full index space.
-func TestForCtxCancellationDrainsPromptly(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := New(workers)
-		ctx, cancel := context.WithCancel(context.Background())
-		const n = 10000
-		var started int32
-		release := make(chan struct{})
-		done := make(chan error, 1)
-		go func() {
-			done <- p.ForCtx(ctx, n, func(i int) {
-				if atomic.AddInt32(&started, 1) <= int32(workers) {
-					<-release // hold the first wave until cancel lands
-				}
-			})
-		}()
-		for atomic.LoadInt32(&started) < int32(workers) {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-		close(release)
-		var err error
-		select {
-		case err = <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("workers=%d: ForCtx did not drain after cancellation", workers)
-		}
-		if err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		// At most the in-flight wave (one per worker) may complete after
-		// cancel; everything else must have been skipped.
-		if s := atomic.LoadInt32(&started); s > int32(2*workers) {
-			t.Fatalf("workers=%d: %d items started after cancellation, want <= %d", workers, s, 2*workers)
-		}
-	}
-}
-
-func TestForCtxPreCancelled(t *testing.T) {
-	p := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	called := int32(0)
-	if err := p.ForCtx(ctx, 100, func(i int) { atomic.AddInt32(&called, 1) }); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if called != 0 {
-		t.Fatalf("%d calls despite pre-cancelled context", called)
-	}
-}
-
-func TestForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		p := New(workers)
-		const n = 1000
-		var hits [n]int32
-		p.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForZeroAndNegative(t *testing.T) {
-	p := New(4)
-	called := false
-	p.For(0, func(i int) { called = true })
-	p.For(-5, func(i int) { called = true })
-	if called {
-		t.Fatal("For called fn for non-positive n")
-	}
-}
-
-func TestForFewerItemsThanWorkers(t *testing.T) {
-	p := New(64)
-	var count int32
-	p.For(3, func(i int) { atomic.AddInt32(&count, 1) })
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-}
 
 func TestDefaultWorkers(t *testing.T) {
 	if New(0).Workers() < 1 {
@@ -163,8 +61,9 @@ func TestForChunksZero(t *testing.T) {
 	p := New(4)
 	called := false
 	p.ForChunks(0, func(lo, hi int) { called = true })
+	p.ForChunks(-5, func(lo, hi int) { called = true })
 	if called {
-		t.Fatal("ForChunks called for n=0")
+		t.Fatal("ForChunks called fn for non-positive n")
 	}
 }
 
@@ -174,5 +73,59 @@ func TestForChunksFewerItemsThanWorkers(t *testing.T) {
 	p.ForChunks(3, func(lo, hi int) { atomic.AddInt32(&total, int32(hi-lo)) })
 	if total != 3 {
 		t.Fatalf("covered %d, want 3", total)
+	}
+}
+
+// A panicking index must surface on the caller as the panic of the lowest
+// panicking index — what the serial loop raises — at every worker count,
+// and every chunk that did not panic must still run to completion.
+func TestForChunksPanicIsWorkerCountInvariant(t *testing.T) {
+	const n = 64
+	bad := map[int]bool{13: true, 40: true, 57: true}
+	for _, workers := range []int{1, 2, 4, 8} {
+		var mu sync.Mutex
+		var clean [][2]int // chunks that returned normally
+		ran := make([]int32, n)
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			New(workers).ForChunks(n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					if bad[i] {
+						panic(fmt.Sprintf("proc %d failed", i))
+					}
+					atomic.AddInt32(&ran[i], 1)
+				}
+				mu.Lock()
+				clean = append(clean, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			return nil
+		}()
+		if got != "proc 13 failed" {
+			t.Fatalf("workers=%d: re-raised %v, want proc 13 failed", workers, got)
+		}
+		for _, c := range clean {
+			for i := c[0]; i < c[1]; i++ {
+				if ran[i] != 1 {
+					t.Fatalf("workers=%d: clean chunk [%d,%d) skipped index %d", workers, c[0], c[1], i)
+				}
+			}
+		}
+		// Chunks are contiguous and cover [0, n): the chunks that returned
+		// are exactly those holding no bad index.
+		width := (n + workers - 1) / workers
+		want := 0
+		for lo := 0; lo < n; lo += width {
+			hasBad := false
+			for i := lo; i < min(lo+width, n); i++ {
+				hasBad = hasBad || bad[i]
+			}
+			if !hasBad {
+				want++
+			}
+		}
+		if len(clean) != want {
+			t.Fatalf("workers=%d: %d chunks completed, want %d", workers, len(clean), want)
+		}
 	}
 }
