@@ -17,10 +17,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The internal packages at one and at four workers per pool (CI runs this):
-# every worker-count-sensitive path — the workpool fan-out, panic
-# attribution, the engines' chunked supersteps — must agree with the serial
-# run.
+# The internal packages at GOMAXPROCS 1 and 4 (CI runs this): every path
+# that sizes a pool from GOMAXPROCS — the service executor, fuzz workers,
+# workpool panic attribution — must agree with the serial run, and the
+# engines' zero-allocation superstep budgets must hold on default-built
+# machines at either setting.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,4 ./internal/...
 

@@ -99,7 +99,7 @@ const (
 // 4 work and sends two single-flit messages on auto-assigned slots.
 func superstepBSP() (*bsp.Machine, func() bsp.Stats) {
 	p := benchProcs
-	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(32, 4), Seed: 1, Workers: 1})
+	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(32, 4), Seed: 1})
 	body := func(c *bsp.Ctx) {
 		c.Charge(4)
 		c.Send((c.ID()+1)%p, 1, int64(c.ID()))
@@ -112,7 +112,7 @@ func superstepBSP() (*bsp.Machine, func() bsp.Stats) {
 // write a private cell in the high half.
 func superstepQSM() (*qsm.Machine, func() qsm.Stats) {
 	p := benchProcs
-	m := qsm.New(qsm.Config{P: p, Mem: 2 * p, Cost: model.QSMm(32), Seed: 1, Workers: 1})
+	m := qsm.New(qsm.Config{P: p, Mem: 2 * p, Cost: model.QSMm(32), Seed: 1})
 	body := func(c *qsm.Ctx) {
 		c.Charge(4)
 		c.Read((c.ID() + 1) % p)
@@ -124,7 +124,7 @@ func superstepQSM() (*qsm.Machine, func() qsm.Stats) {
 // superstepPRAM mirrors internal/pram's benchMachine on the QRQW variant.
 func superstepPRAM() (*pram.Machine, func() pram.Stats) {
 	p := benchProcs
-	m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.QRQW, Seed: 1, Workers: 1})
+	m := pram.New(pram.Config{P: p, Mem: 2 * p, Mode: pram.QRQW, Seed: 1})
 	body := func(c *pram.Ctx) {
 		v := c.Read((c.ID() + 1) % p)
 		c.Write(p+c.ID(), v+1)
@@ -134,11 +134,10 @@ func superstepPRAM() (*pram.Machine, func() pram.Stats) {
 
 // superstepBSPScale builds a p-processor BSP(g) machine whose program sends
 // one single-flit neighbor message per processor — the p-scaling workload.
-// Workers is pinned to 1 so the measurement isolates per-processor engine
-// overhead (columnar resets, arena appends, counting-sort routing) from
-// goroutine fan-out, which is what makes the steady state allocation-free.
+// It measures per-processor engine overhead: columnar resets, arena appends
+// and counting-sort routing, with an allocation-free steady state.
 func superstepBSPScale(p int) (*bsp.Machine, func() bsp.Stats) {
-	m := bsp.New(bsp.Config{P: p, Cost: model.BSPg(4, 16), Seed: 1, Workers: 1})
+	m := bsp.New(bsp.Config{P: p, Cost: model.BSPg(4, 16), Seed: 1})
 	body := func(c *bsp.Ctx) {
 		i := c.ID()
 		c.Send((i+1)%p, 1, int64(i))
@@ -230,7 +229,7 @@ func dagLowerOnce() (total model.Time, sends, flits int) {
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(mm, l), Seed: 1, Workers: 1})
+	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(mm, l), Seed: 1})
 	sched.ReplayAll(m, ir)
 	return m.Time(), ir.TotalSends, ir.TotalFlits
 }

@@ -6,12 +6,11 @@ import (
 	"parbw/internal/model"
 )
 
-// benchMachine builds a single-worker machine (so allocation measurements
-// are not polluted by worker goroutine scheduling) plus a representative
-// communication superstep: every processor sends two single-flit messages on
-// its auto-assigned injection slots.
+// benchMachine builds a default machine plus a representative communication
+// superstep: every processor sends two single-flit messages on its
+// auto-assigned injection slots.
 func benchMachine(p int) (*Machine, func()) {
-	m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1, Workers: 1})
+	m := New(Config{P: p, Cost: model.BSPm(32, 4), Seed: 1})
 	body := func(c *Ctx) {
 		c.Charge(4)
 		c.Send((c.ID()+1)%p, 1, int64(c.ID()))

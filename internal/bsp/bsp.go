@@ -4,8 +4,8 @@
 // self-scheduling BSP(m) variant.
 //
 // A Machine owns p simulated processors. An algorithm is a sequence of calls
-// to Machine.Superstep, each executing a per-processor program concurrently
-// (on a bounded worker pool) and then performing the bulk synchronization:
+// to Machine.Superstep, each executing a per-processor program for every
+// processor, one after another, and then performing the bulk synchronization:
 // messages sent in a superstep are delivered before the next superstep
 // begins, and the superstep is charged according to the machine's cost
 // model. All "time" accumulated by the machine is simulated model time.
@@ -20,10 +20,10 @@
 // Non-receipt of messages is observable (an empty inbox is information),
 // which the ternary broadcast of the paper's Section 4.2 exploits.
 //
-// The superstep loop itself — context lifecycle, worker-pool fan-out, clock
-// and trace commit, observer fan-out — lives in internal/engine; this
-// package contributes the BSP-specific merge strategy (schedule validation,
-// message routing, cost accounting).
+// The superstep loop itself — context lifecycle, the per-processor program
+// loop, clock and trace commit, observer fan-out — lives in internal/engine;
+// this package contributes the BSP-specific merge strategy (schedule
+// validation, message routing, cost accounting).
 package bsp
 
 import (
@@ -82,9 +82,6 @@ type Config struct {
 	P    int        // number of simulated processors (>= 1)
 	Cost model.Cost // cost model; must be a BSP kind
 	Seed uint64     // experiment seed; all processor RNGs derive from it
-	// Workers bounds the host-CPU parallelism used to execute processor
-	// programs; <= 0 selects GOMAXPROCS.
-	Workers int
 	// Trace, if true, retains the Stats of every superstep (Machine.Trace).
 	Trace bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
@@ -93,27 +90,27 @@ type Config struct {
 }
 
 // Machine is a simulated BSP machine. Methods must be called from a single
-// driver goroutine; the per-processor programs passed to Superstep run
-// concurrently with each other but never concurrently with the driver.
+// driver goroutine; the per-processor programs passed to Superstep run on
+// that goroutine, one after another in processor order.
 //
 // Per-processor state is columnar: counters and cursors live in flat
-// engine.Cols arrays indexed by processor id, queued sends live in O(cores)
-// chunk-local arenas addressed by the Off/Cnt columns, and inboxes are
-// offset columns over one routed message slab. A Ctx is a thin
-// index-plus-pointer view over that state, so machine memory is O(p) flat
-// words plus O(cores) objects — never O(p) objects.
+// engine.Cols arrays indexed by processor id, queued sends live in one send
+// arena addressed by the Off/Cnt columns, and inboxes are offset columns
+// over one routed message slab. A Ctx is a thin index-plus-pointer view over
+// that state, so machine memory is O(p) flat words plus a constant number of
+// objects — never O(p) objects.
 type Machine struct {
 	p    int
 	cost model.Cost
 	core *engine.Core[Stats]
 	cols *engine.Cols
 
-	// shards are the chunk-local send arenas: chunk r of the fan-out (the
-	// contiguous processors [r·width, (r+1)·width)) appends its sends to
-	// shards[r].buf, recycled across supersteps. Each shard also carries the
-	// one Ctx its chunk's programs share, so live per-step state is O(cores).
-	width  int
-	shards []shard
+	// arena is the send arena, recycled across supersteps: every processor
+	// appends its sends to it in turn, so it holds the processors' runs
+	// concatenated in processor order. ctx is the one Ctx view every
+	// program runs under.
+	arena []send
+	ctx   Ctx
 
 	// inbox is the current routed message slab in destination order; inOff
 	// (length p+1) carves it into per-destination views, spareOff is the
@@ -130,22 +127,14 @@ type Machine struct {
 	// closures handed to the engine core, built once so that Superstep itself
 	// is allocation-free.
 	fn      func(c *Ctx)
-	body    func(lo, hi int)
+	body    func(i int)
 	mergeFn func() (Stats, engine.StepStats)
 }
 
-// shard is one chunk's recycled send arena plus the Ctx view its programs
-// run under. Chunks are disjoint contiguous processor ranges, so a shard is
-// only ever touched by the one goroutine running its chunk.
-type shard struct {
-	buf []send
-	ctx Ctx
-}
-
-// sends returns processor i's queued run inside its shard's arena.
+// sends returns processor i's queued run inside the send arena.
 func (m *Machine) sends(i int) []send {
 	off := m.cols.Off[i]
-	return m.shards[i/m.width].buf[off : off+m.cols.Cnt[i]]
+	return m.arena[off : off+m.cols.Cnt[i]]
 }
 
 // New constructs a Machine from either the package-native Config or the
@@ -161,7 +150,6 @@ func New[C Config | engine.Options](cfg C) *Machine {
 			P:        o.Procs,
 			Cost:     o.BSPCost(),
 			Seed:     o.Seed,
-			Workers:  o.Workers,
 			Trace:    o.Trace,
 			Observer: o.Observer,
 		})
@@ -179,30 +167,20 @@ func newMachine(cfg Config) *Machine {
 	m := &Machine{
 		p:        cfg.P,
 		cost:     cfg.Cost,
-		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Workers, cfg.Trace),
+		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Trace),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		inOff:    make([]int32, cfg.P+1),
 		spareOff: make([]int32, cfg.P+1),
 	}
 	m.core.Attach(cfg.Observer)
-	width, chunks := m.core.ChunkPlan(cfg.P)
-	m.width = width
-	m.shards = make([]shard, chunks)
-	for r := range m.shards {
-		m.shards[r].ctx = Ctx{m: m, sh: &m.shards[r]}
-	}
-	m.body = func(lo, hi int) {
-		sh := &m.shards[lo/m.width]
-		sh.buf = sh.buf[:0]
-		c := &sh.ctx
+	m.ctx.m = m
+	m.body = func(i int) {
 		cols := m.cols
-		for i := lo; i < hi; i++ {
-			cols.ResetProc(i)
-			cols.Off[i] = int32(len(sh.buf))
-			cols.Cnt[i] = 0
-			c.id = i
-			m.fn(c)
-		}
+		cols.ResetProc(i)
+		cols.Off[i] = int32(len(m.arena))
+		cols.Cnt[i] = 0
+		m.ctx.id = i
+		m.fn(&m.ctx)
 	}
 	m.mergeFn = m.merge
 	return m
@@ -240,11 +218,10 @@ func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }
 // Ctx is the per-processor view of the current superstep. A Ctx is valid
 // only inside the program function of the superstep it was passed to. It is
 // a thin index-plus-pointer view: the state it reads and writes lives in
-// the machine's columnar arrays and its chunk's send arena.
+// the machine's columnar arrays and its send arena.
 type Ctx struct {
 	id int
 	m  *Machine
-	sh *shard
 }
 
 // ID returns this processor's index in [0, P).
@@ -299,7 +276,7 @@ func (c *Ctx) SendAt(slot, dst int, msg Msg) {
 }
 
 // sendAt is the per-message hot path: it normalizes the message and appends
-// it to the processor's run in the chunk's send arena. The
+// it to the processor's run in the send arena. The
 // invalid-destination panic lives in a separate function so sendAt stays
 // within the inlining budget — enqueueing a message is a bounds check plus
 // one 56-byte arena append and two column stores.
@@ -307,7 +284,7 @@ func (c *Ctx) sendAt(slot, dst int, msg Msg) {
 	if dst < 0 || dst >= c.m.p {
 		c.badDst(dst)
 	}
-	buf := c.sh.buf
+	buf := c.m.arena
 	n := len(buf)
 	if n == cap(buf) {
 		buf = append(buf, send{})
@@ -322,7 +299,7 @@ func (c *Ctx) sendAt(slot, dst int, msg Msg) {
 	if msg.Len <= 0 {
 		s.msg.Len = 1
 	}
-	c.sh.buf = buf
+	c.m.arena = buf
 	cols := c.m.cols
 	cols.Cnt[c.id]++
 	if end := slot + int(s.msg.Len); end > cols.AutoSlot[c.id] {
@@ -340,6 +317,7 @@ func (c *Ctx) badDst(dst int) {
 // machine clock advances. It returns the superstep's Stats.
 func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
 	m.fn = fn
+	m.arena = m.arena[:0]
 	st := m.core.Step(m.body, m.mergeFn)
 	m.fn = nil
 	return st
@@ -349,18 +327,6 @@ func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
 // insertion sort; longer schedules (a single processor streaming thousands
 // of flits) fall back to the library sort.
 const insertionSortMax = 32
-
-// parallelRouteMin is the per-superstep message count below which the
-// destination-sharded parallel routing passes are not worth their fan-out
-// overhead (a variable so tests can force either path).
-var parallelRouteMin = 2048
-
-// parallelRouteGrid caps the parallel router's chunk×destination count
-// matrix at this multiple of the step's message count: above it, the O(
-// chunks·p) grid would dominate the work (and, at p in the millions, the
-// memory), so the serial placement — O(total + p) — wins. A variable so
-// tests can force either path.
-var parallelRouteGrid = 4
 
 // merge is the BSP merge strategy: it validates injection schedules, builds
 // the per-step histogram, counting-sorts messages into the next inbox slab,
@@ -374,16 +340,12 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// accounting and the per-destination message/flit counts the router
 	// needs. After a valid sort the interval ends are monotone, so the
 	// processor's step span is simply the last interval's end. The sort and
-	// the overlap check are inlined on the concrete send type: the generic
-	// closure-based engine.CheckSchedule was the hottest single item in the
-	// pre-rework merge profile. Processors are walked shard by shard —
-	// shards hold contiguous ascending processor ranges, so this is
-	// processor order without a per-processor division.
+	// the overlap check are inlined on the concrete send type, so short
+	// schedules take an allocation-free insertion sort.
 	recv := m.core.Ledger() // flits destined per processor
 	cnt := m.core.Offsets() // messages destined per processor
 	cols := m.cols
 	maxStep := 0
-	total := 0 // messages this superstep
 	for i := 0; i < m.p; i++ {
 		if w := cols.Work[i]; w > st.W {
 			st.W = w
@@ -421,7 +383,6 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 			st.HSend = sent
 		}
 		st.N += sent
-		total += len(sends)
 	}
 	st.Steps = maxStep
 
@@ -432,7 +393,7 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// supersteps; Recv slices are therefore only valid within their
 	// superstep, as documented.
 	hist := m.core.Hist(maxStep)
-	slab := m.slabs[1-m.cur].Take(total)
+	slab := m.slabs[1-m.cur].Take(len(m.arena))
 	nextOff := m.spareOff
 	acc := 0
 	for d := 0; d < m.p; d++ {
@@ -447,26 +408,18 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// placement. Every message's slab position is determined by the
 	// precomputed cursors — (destination, then source processor, then slot
 	// order within the processor) — exactly the delivery order the old
-	// append-per-destination routing produced. Large steps on a
-	// multi-worker machine take the destination-sharded parallel passes
-	// instead; they compute the same positions chunk-locally, so the slab
-	// contents are byte-identical either way.
-	if m.core.Workers() > 1 && total >= parallelRouteMin && m.gridFits(maxStep, total) {
-		m.routeParallel(slab, hist, cnt)
-	} else {
-		for i := 0; i < m.p; i++ {
-			sends := m.sends(i)
-			for k := range sends {
-				s := &sends[k]
-				end := s.slot + int(s.msg.Len)
-				for f := s.slot; f < end; f++ {
-					hist[f]++
-				}
-				d := int(s.msg.Dst)
-				slab[cnt[d]] = s.msg
-				cnt[d]++
-			}
+	// append-per-destination routing produced. The arena holds the
+	// processors' slot-sorted runs in processor order, so one linear scan
+	// visits every message in that order.
+	for k := range m.arena {
+		s := &m.arena[k]
+		end := s.slot + int(s.msg.Len)
+		for f := s.slot; f < end; f++ {
+			hist[f]++
 		}
+		d := int(s.msg.Dst)
+		slab[cnt[d]] = s.msg
+		cnt[d]++
 	}
 	for _, r := range recv {
 		if r > st.HRecv {
@@ -498,79 +451,6 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 		Steps: st.Steps, MaxSlot: st.MaxSlot, Overload: st.Overload,
 		CM: st.CM, Cost: st.Cost, Hist: hist,
 	}
-}
-
-// gridFits reports whether the parallel router's chunk×destination count
-// matrix is small enough relative to the step's traffic to be worth
-// building. At bench-scale machines (hundreds of processors) it always is;
-// at p in the millions a sparse step would spend more on the grid than on
-// the messages, so the serial placement runs instead. Either path produces
-// a byte-identical slab.
-func (m *Machine) gridFits(nh, total int) bool {
-	return len(m.shards)*(m.p+nh) <= parallelRouteGrid*total
-}
-
-// routeParallel is the destination-sharded routing used for large steps on
-// multi-worker machines: each worker chunk counts its own messages per
-// destination and its own injection histogram into a recycled
-// chunk×destination grid (no global map, no locks), a serial reduce turns
-// the chunk counts into exact slab positions (bucket start + messages the
-// earlier chunks place in that bucket), and a second parallel pass writes
-// every message to its precomputed position. The fan-out chunks coincide
-// with the send shards, and a shard's arena is its processors' runs
-// concatenated in (processor, slot-sorted) order, so the passes scan each
-// arena linearly. Positions depend only on (processor order, slot order
-// within processor), never on worker scheduling, so the slab is
-// byte-identical to the serial path for any worker count.
-func (m *Machine) routeParallel(slab []Msg, hist []int, cur []int) {
-	p := m.p
-	nh := len(hist)
-	width, chunks := m.width, len(m.shards)
-	grid := m.core.Grid(chunks * (p + nh))
-	cnts := grid[:chunks*p]
-	hists := grid[chunks*p:]
-
-	m.core.ForChunks(p, func(lo, hi int) {
-		r := lo / width
-		crow := cnts[r*p : (r+1)*p]
-		hrow := hists[r*nh : (r+1)*nh]
-		sends := m.shards[r].buf
-		for k := range sends {
-			s := &sends[k]
-			end := s.slot + int(s.msg.Len)
-			for f := s.slot; f < end; f++ {
-				hrow[f]++
-			}
-			crow[int(s.msg.Dst)]++
-		}
-	})
-
-	for t := 0; t < nh; t++ {
-		sum := 0
-		for r := 0; r < chunks; r++ {
-			sum += hists[r*nh+t]
-		}
-		hist[t] = sum
-	}
-	for d := 0; d < p; d++ {
-		s := cur[d]
-		for r := 0; r < chunks; r++ {
-			k := cnts[r*p+d]
-			cnts[r*p+d] = s
-			s += k
-		}
-	}
-
-	m.core.ForChunks(p, func(lo, hi int) {
-		r := lo / width
-		crow := cnts[r*p : (r+1)*p]
-		sends := m.shards[r].buf
-		for k := range sends {
-			d := int(sends[k].msg.Dst)
-			slab[crow[d]] = sends[k].msg
-			crow[d]++
-		}
-	})
 }
 
 // inboxView carves processor i's inbox out of the routed slab. The view is

@@ -147,31 +147,3 @@ func TestCostMonotoneInBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Worker count must not affect results (engine concurrency is invisible).
-func TestWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) ([]Msg, float64) {
-		m := New(Config{P: 64, Cost: model.BSPmLinear(8, 2), Seed: 5, Workers: workers})
-		m.Superstep(func(c *Ctx) {
-			k := c.RNG().Intn(4)
-			for j := 0; j < k; j++ {
-				c.SendAt(j, c.RNG().Intn(64), Msg{A: int64(c.ID()*10 + j)})
-			}
-		})
-		var all []Msg
-		for i := 0; i < 64; i++ {
-			all = append(all, m.Inbox(i)...)
-		}
-		return all, m.Time()
-	}
-	m1, t1 := run(1)
-	m8, t8 := run(8)
-	if t1 != t8 || len(m1) != len(m8) {
-		t.Fatalf("worker count changed outcome: %v/%d vs %v/%d", t1, len(m1), t8, len(m8))
-	}
-	for i := range m1 {
-		if m1[i] != m8[i] {
-			t.Fatalf("message %d differs across worker counts", i)
-		}
-	}
-}

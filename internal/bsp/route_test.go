@@ -6,118 +6,12 @@ import (
 	"parbw/internal/model"
 )
 
-// routeWorkload is a skewed mixed-length traffic pattern: processor i sends
-// msgs messages of varying length to scattered destinations, with a hotspot
-// at processor 0. It is deliberately irregular so that bucket sizes differ
-// wildly across destinations.
-func routeWorkload(p, msgs int) func(c *Ctx) {
-	return func(c *Ctx) {
-		i := c.ID()
-		for k := 0; k < msgs; k++ {
-			dst := (i*7 + k*k + 3) % p
-			if k%5 == 0 {
-				dst = 0 // hotspot
-			}
-			ln := int32(1 + (i+k)%3)
-			c.SendMsg(dst, Msg{Tag: uint8(k), Len: ln, A: int64(i), B: int64(k)})
-		}
-	}
-}
-
-// runRouted executes steps supersteps of the workload and returns the final
-// inbox contents per processor plus the last step's Stats.
-func runRouted(p, msgs, workers, steps int) ([][]Msg, Stats) {
-	m := New(Config{P: p, Cost: model.BSPm(64, 4), Seed: 9, Workers: workers})
-	var st Stats
-	body := routeWorkload(p, msgs)
-	for s := 0; s < steps; s++ {
-		st = m.Superstep(body)
-	}
-	out := make([][]Msg, p)
-	for i := 0; i < p; i++ {
-		out[i] = append([]Msg(nil), m.Inbox(i)...)
-	}
-	return out, st
-}
-
-// The destination-sharded parallel routing passes must deliver exactly the
-// messages, in exactly the order, the serial counting sort does — for any
-// worker count. This is the property all golden outputs rest on.
-func TestParallelRouteEquivalence(t *testing.T) {
-	old := parallelRouteMin
-	parallelRouteMin = 1 // force the parallel path on the multi-worker run
-	defer func() { parallelRouteMin = old }()
-
-	for _, workers := range []int{2, 3, 4, 7} {
-		serialBoxes, serialStats := runRouted(96, 6, 1, 3)
-		parBoxes, parStats := runRouted(96, 6, workers, 3)
-		if serialStats != parStats {
-			t.Fatalf("workers=%d: stats diverge: serial %+v parallel %+v", workers, serialStats, parStats)
-		}
-		for i := range serialBoxes {
-			if len(serialBoxes[i]) != len(parBoxes[i]) {
-				t.Fatalf("workers=%d: proc %d inbox length %d vs %d", workers, i, len(serialBoxes[i]), len(parBoxes[i]))
-			}
-			for k := range serialBoxes[i] {
-				if serialBoxes[i][k] != parBoxes[i][k] {
-					t.Fatalf("workers=%d: proc %d msg %d differs: %+v vs %+v", workers, i, k, serialBoxes[i][k], parBoxes[i][k])
-				}
-			}
-		}
-	}
-}
-
-// Above the message-count threshold the parallel path engages on its own;
-// the delivered traffic must still match the serial machine exactly.
-func TestParallelRouteThreshold(t *testing.T) {
-	p, msgs := 512, 8 // 4096 messages >= parallelRouteMin
-	serialBoxes, serialStats := runRouted(p, msgs, 1, 2)
-	parBoxes, parStats := runRouted(p, msgs, 4, 2)
-	if serialStats != parStats {
-		t.Fatalf("stats diverge: serial %+v parallel %+v", serialStats, parStats)
-	}
-	for i := range serialBoxes {
-		for k := range serialBoxes[i] {
-			if serialBoxes[i][k] != parBoxes[i][k] {
-				t.Fatalf("proc %d msg %d differs", i, k)
-			}
-		}
-	}
-}
-
-// Closing the grid gate (a sparse step on a huge machine, where the
-// chunk×destination matrix would dwarf the traffic) must drop the
-// multi-worker machine back to the serial placement — and the delivered
-// traffic must still be exactly the serial machine's.
-func TestParallelRouteGridGate(t *testing.T) {
-	oldMin, oldGrid := parallelRouteMin, parallelRouteGrid
-	parallelRouteMin = 1
-	parallelRouteGrid = 0 // gate always closed
-	defer func() { parallelRouteMin, parallelRouteGrid = oldMin, oldGrid }()
-
-	serialBoxes, serialStats := runRouted(96, 6, 1, 3)
-	gatedBoxes, gatedStats := runRouted(96, 6, 4, 3)
-	if serialStats != gatedStats {
-		t.Fatalf("stats diverge: serial %+v gated %+v", serialStats, gatedStats)
-	}
-	for i := range serialBoxes {
-		if len(serialBoxes[i]) != len(gatedBoxes[i]) {
-			t.Fatalf("proc %d inbox length %d vs %d", i, len(serialBoxes[i]), len(gatedBoxes[i]))
-		}
-		for k := range serialBoxes[i] {
-			if serialBoxes[i][k] != gatedBoxes[i][k] {
-				t.Fatalf("proc %d msg %d differs", i, k)
-			}
-		}
-	}
-}
-
 // Deliver must never clobber a neighboring routed bucket: the inbox views
 // are capacity-clamped subslices of one shared slab, so an append past a
 // view's length has to reallocate rather than overwrite.
 func TestDeliverDoesNotClobberSlab(t *testing.T) {
 	p := 8
-	m := New(Config{P: p, Cost: model.BSPm(8, 2), Seed: 3, Workers: 1})
+	m := New(Config{P: p, Cost: model.BSPm(8, 2), Seed: 3})
 	m.Superstep(func(c *Ctx) {
 		c.Send((c.ID()+1)%p, 1, int64(c.ID()))
 	})

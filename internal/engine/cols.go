@@ -10,19 +10,14 @@ package engine
 // is a handful of large allocations instead of millions of small ones. The
 // machines' Ctx types become thin index-plus-pointer views over these
 // columns; the queued per-processor work itself (sends, requests, accesses)
-// lives in O(cores) chunk-local arenas addressed by the Off/Cnt columns.
+// lives in one machine-wide arena addressed by the Off/Cnt columns.
 
-import (
-	"sync"
-
-	"parbw/internal/xrand"
-)
+import "parbw/internal/xrand"
 
 // Cols holds the per-processor engine state shared by every machine as
-// parallel flat arrays indexed by processor id. All columns are reset by the
-// machine's chunk body at the start of each superstep, touching only the
-// processors the chunk owns, so resets parallelize with the fan-out and
-// never allocate.
+// parallel flat arrays indexed by processor id. A processor's counters are
+// reset by the machine's body just before its program runs each superstep,
+// so resets never allocate.
 //
 // The RNG column is lazy: constructing a Cols records only the root seed
 // state, and a processor's source is derived on its first RNG call —
@@ -34,11 +29,10 @@ type Cols struct {
 	Work     []int   // local work charged this step
 	AutoSlot []int   // next free auto-assigned injection/request slot
 	RecvUsed []bool  // whether the processor consulted its inbox this step
-	Off      []int32 // start of the processor's queued run in its chunk arena
+	Off      []int32 // start of the processor's queued run in the arena
 	Cnt      []int32 // number of queued items in the run
 
 	root    xrand.Source
-	rngOnce sync.Once
 	rng     []xrand.Source
 	rngInit []bool
 }
@@ -57,29 +51,24 @@ func NewCols(p int, seed uint64) *Cols {
 }
 
 // ResetProc zeroes processor i's per-step counters for a new superstep. It
-// is called from the chunk body before the processor's program runs;
-// distinct processors are reset by distinct goroutines, never concurrently
-// for one i. Off and Cnt are queue bookkeeping the machine sets itself (Off
-// is the arena cursor at the moment the program starts, not zero).
+// is called from the machine's body before the processor's program runs.
+// Off and Cnt are queue bookkeeping the machine sets itself (Off is the
+// arena cursor at the moment the program starts, not zero).
 func (cs *Cols) ResetProc(i int) {
 	cs.Work[i] = 0
 	cs.AutoSlot[i] = 0
 	cs.RecvUsed[i] = false
 }
 
-// allocRNG materializes the RNG columns on first use.
-func (cs *Cols) allocRNG() {
-	cs.rng = make([]xrand.Source, len(cs.Work))
-	cs.rngInit = make([]bool, len(cs.Work))
-}
-
 // RNG returns processor i's private deterministic source, deriving it from
 // the root seed on first use. The returned pointer is stable for the life of
 // the machine and the source's state persists across supersteps, exactly as
-// the eagerly-split sources did. Safe to call concurrently for distinct i
-// (entry i is only ever touched by the goroutine running processor i).
+// the eagerly-split sources did.
 func (cs *Cols) RNG(i int) *xrand.Source {
-	cs.rngOnce.Do(cs.allocRNG)
+	if cs.rng == nil {
+		cs.rng = make([]xrand.Source, len(cs.Work))
+		cs.rngInit = make([]bool, len(cs.Work))
+	}
 	if !cs.rngInit[i] {
 		cs.root.SplitInto(uint64(i), &cs.rng[i])
 		cs.rngInit[i] = true

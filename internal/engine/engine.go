@@ -1,9 +1,10 @@
 // Package engine is the shared superstep core under every machine simulator
 // in this repository. The BSP, QSM, and PRAM machines all execute the same
-// abstract loop — reset per-processor contexts, fan the per-processor
-// programs out over a bounded worker pool, run a model-specific merge that
-// validates schedules and computes the step's cost, then commit: advance the
-// simulated clock, retain the step's statistics, and notify observers.
+// abstract loop — reset per-processor contexts, run the per-processor
+// programs one after another on the driver goroutine, run a model-specific
+// merge that validates schedules and computes the step's cost, then commit:
+// advance the simulated clock, retain the step's statistics, and notify
+// observers.
 // Before this package existed that loop was implemented once per machine;
 // Core implements it exactly once, parameterized by the machine's native
 // per-step Stats type S and its merge strategy.
@@ -22,12 +23,7 @@
 // returned cost to the clock, exactly as the per-machine loops did.
 package engine
 
-import (
-	"slices"
-
-	"parbw/internal/model"
-	"parbw/internal/workpool"
-)
+import "parbw/internal/model"
 
 // ringCap is the capacity of the always-on recent-step ring.
 const ringCap = 64
@@ -38,7 +34,6 @@ const ringCap = 64
 type Core[S any] struct {
 	label string
 	p     int
-	pool  *workpool.Pool
 	keep  bool
 
 	time  model.Time
@@ -52,20 +47,17 @@ type Core[S any] struct {
 	hist    []int // recycled per-step injection/request histogram
 	ledger  []int // recycled per-processor counter, length p
 	offsets []int // recycled per-processor counter, length p (slab.go)
-	grid    []int // recycled chunk×destination count matrix (slab.go)
 
 	observers []Observer
 }
 
 // NewCore constructs a Core for a machine with p simulated processors.
 // label names the machine family in StepStats ("bsp", "qsm", "pram");
-// workers bounds host parallelism (<= 0 selects GOMAXPROCS); keepTrace
-// retains every step's native Stats for Trace.
-func NewCore[S any](label string, p, workers int, keepTrace bool) *Core[S] {
+// keepTrace retains every step's native Stats for Trace.
+func NewCore[S any](label string, p int, keepTrace bool) *Core[S] {
 	return &Core[S]{
 		label: label,
 		p:     p,
-		pool:  workpool.New(workers),
 		keep:  keepTrace,
 	}
 }
@@ -140,16 +132,17 @@ func (c *Core[S]) Recent() []StepStats {
 	return out
 }
 
-// Step drives one superstep: body runs once per contiguous processor chunk
-// on the worker pool (reset each chunk processor's state and execute its
-// program — chunk boundaries follow ChunkPlan, so live goroutine and
-// closure state is O(cores), never O(p)), then merge — the model-specific
-// strategy — validates schedules, routes traffic, and prices the step,
-// returning the machine's native Stats together with the normalized
-// StepStats view. Core commits the result: clock, counters, trace, ring,
-// observers.
-func (c *Core[S]) Step(body func(lo, hi int), merge func() (S, StepStats)) S {
-	c.pool.ForChunks(c.p, body)
+// Step drives one superstep: body runs once per processor, in ascending id
+// order on the calling goroutine (reset the processor's state and execute
+// its program, so a panicking program surfaces directly to the caller),
+// then merge — the model-specific strategy — validates schedules, routes
+// traffic, and prices the step, returning the machine's native Stats
+// together with the normalized StepStats view. Core commits the result:
+// clock, counters, trace, ring, observers.
+func (c *Core[S]) Step(body func(i int), merge func() (S, StepStats)) S {
+	for i := 0; i < c.p; i++ {
+		body(i)
+	}
 	st, view := merge()
 	view.Machine = c.label
 	view.Index = c.steps
@@ -182,40 +175,4 @@ func (c *Core[S]) ResetClock() {
 	c.last = zero
 	c.trace = nil
 	c.ringN = 0
-}
-
-// CheckSchedule validates a per-processor injection schedule: items are
-// sorted in place by start slot, and any two items whose [slot, slot+width)
-// intervals overlap make the schedule invalid — the globally-limited models
-// permit at most one injection per processor per step. fail is called with
-// the offending slot and must not return (the machines panic with their
-// model-specific message).
-func CheckSchedule[T any](items []T, slot func(T) int, width func(T) int, fail func(slot int)) {
-	if len(items) < 2 {
-		return
-	}
-	if len(items) <= 32 {
-		insertionSortBySlot(items, slot)
-	} else {
-		slices.SortFunc(items, func(a, b T) int { return slot(a) - slot(b) })
-	}
-	prevEnd := -1
-	for _, it := range items {
-		s := slot(it)
-		if s < prevEnd {
-			fail(s)
-		}
-		prevEnd = s + width(it)
-	}
-}
-
-// insertionSortBySlot sorts items by slot without allocating. Per-processor
-// schedules are short (a handful of sends), where insertion sort beats the
-// generic sort for both time and allocations in the merge hot path.
-func insertionSortBySlot[T any](items []T, slot func(T) int) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && slot(items[j]) < slot(items[j-1]); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
 }

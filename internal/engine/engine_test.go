@@ -1,20 +1,17 @@
 package engine
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // step drives one trivial superstep on c whose merge reports the given cost
 // and traffic.
 func step(c *Core[int], cost float64, n, maxSlot, overload int) {
-	c.Step(func(lo, hi int) {}, func() (int, StepStats) {
+	c.Step(func(i int) {}, func() (int, StepStats) {
 		return c.Steps() + 1, StepStats{N: n, MaxSlot: maxSlot, Overload: overload, Cost: cost}
 	})
 }
 
 func TestCoreClockAndTrace(t *testing.T) {
-	c := NewCore[int]("test", 4, 1, true)
+	c := NewCore[int]("test", 4, true)
 	if c.P() != 4 || c.Label() != "test" {
 		t.Fatalf("P/Label = %d/%q", c.P(), c.Label())
 	}
@@ -43,7 +40,7 @@ func TestCoreClockAndTrace(t *testing.T) {
 }
 
 func TestCoreNoTraceByDefault(t *testing.T) {
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, false)
 	step(c, 1, 0, 0, 0)
 	if c.Trace() != nil {
 		t.Fatal("trace retained without keepTrace")
@@ -52,16 +49,9 @@ func TestCoreNoTraceByDefault(t *testing.T) {
 
 func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 	const p = 100
-	c := NewCore[int]("test", p, 4, false)
+	c := NewCore[int]("test", p, false)
 	hits := make([]int, p)
-	var mu sync.Mutex
-	c.Step(func(lo, hi int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := lo; i < hi; i++ {
-			hits[i]++
-		}
-	}, func() (int, StepStats) { return 0, StepStats{} })
+	c.Step(func(i int) { hits[i]++ }, func() (int, StepStats) { return 0, StepStats{} })
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("processor %d ran %d times", i, h)
@@ -70,7 +60,7 @@ func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 }
 
 func TestHistRecycled(t *testing.T) {
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, false)
 	h1 := c.Hist(8)
 	if len(h1) != 8 {
 		t.Fatalf("len = %d", len(h1))
@@ -93,7 +83,7 @@ func TestHistRecycled(t *testing.T) {
 }
 
 func TestLedgerRecycled(t *testing.T) {
-	c := NewCore[int]("test", 5, 1, false)
+	c := NewCore[int]("test", 5, false)
 	l1 := c.Ledger()
 	if len(l1) != 5 {
 		t.Fatalf("len = %d", len(l1))
@@ -109,7 +99,7 @@ func TestLedgerRecycled(t *testing.T) {
 }
 
 func TestRecentRing(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
+	c := NewCore[int]("test", 1, false)
 	for i := 0; i < ringCap+10; i++ {
 		step(c, float64(i), 0, 0, 0)
 	}
@@ -135,7 +125,7 @@ func TestRecentRing(t *testing.T) {
 // exactly ringCap committed steps must return all of them in order, and one
 // more must drop exactly the oldest.
 func TestRecentAtRingBoundary(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
+	c := NewCore[int]("test", 1, false)
 	for i := 0; i < ringCap; i++ {
 		step(c, float64(i), 0, 0, 0)
 	}
@@ -164,7 +154,7 @@ func TestRecentAtRingBoundary(t *testing.T) {
 }
 
 func TestObserverSeesCommittedSteps(t *testing.T) {
-	c := NewCore[int]("obs", 3, 1, false)
+	c := NewCore[int]("obs", 3, false)
 	var got []StepStats
 	c.Attach(ObserverFunc(func(st StepStats) { got = append(got, st) }))
 	step(c, 2, 5, 3, 1)
@@ -183,13 +173,13 @@ func TestObserverSeesCommittedSteps(t *testing.T) {
 }
 
 func TestAttachNilObserverIgnored(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
+	c := NewCore[int]("test", 1, false)
 	c.Attach(nil)
 	step(c, 1, 0, 0, 0) // must not panic
 }
 
 func TestGlobalObserverAddRemove(t *testing.T) {
-	c := NewCore[int]("test", 1, 1, false)
+	c := NewCore[int]("test", 1, false)
 	var n int
 	remove := AddGlobalObserver(ObserverFunc(func(st StepStats) { n++ }))
 	step(c, 1, 0, 0, 0)
@@ -204,7 +194,7 @@ func TestGlobalObserverAddRemove(t *testing.T) {
 
 func TestGlobalCountersAdvance(t *testing.T) {
 	before := GlobalCounters()
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, false)
 	step(c, 1, 10, 3, 2)
 	step(c, 1, 5, 1, 0)
 	after := GlobalCounters()
@@ -219,58 +209,5 @@ func TestGlobalCountersAdvance(t *testing.T) {
 	}
 	if after.MaxSlotLoad < 3 {
 		t.Fatalf("max slot load = %d, want >= 3", after.MaxSlotLoad)
-	}
-}
-
-type span struct{ slot, width int }
-
-func TestCheckScheduleValid(t *testing.T) {
-	spans := []span{{4, 2}, {0, 1}, {1, 3}, {6, 1}}
-	CheckSchedule(spans,
-		func(s span) int { return s.slot },
-		func(s span) int { return s.width },
-		func(slot int) { t.Fatalf("valid schedule rejected at slot %d", slot) })
-	// Sorted in place by slot.
-	for i := 1; i < len(spans); i++ {
-		if spans[i].slot < spans[i-1].slot {
-			t.Fatalf("not sorted: %v", spans)
-		}
-	}
-}
-
-func TestCheckScheduleOverlap(t *testing.T) {
-	cases := [][]span{
-		{{0, 2}, {1, 1}},         // interval overlap
-		{{3, 1}, {3, 1}},         // duplicate slot
-		{{0, 1}, {5, 3}, {6, 1}}, // overlap after sorting
-	}
-	for i, spans := range cases {
-		fired := false
-		func() {
-			defer func() { recover() }()
-			CheckSchedule(spans,
-				func(s span) int { return s.slot },
-				func(s span) int { return s.width },
-				func(slot int) { fired = true; panic("overlap") })
-		}()
-		if !fired {
-			t.Fatalf("case %d: overlap not detected", i)
-		}
-	}
-}
-
-func TestCheckScheduleLarge(t *testing.T) {
-	// Above the insertion-sort cutoff: descending slots, still valid.
-	n := 100
-	spans := make([]span, n)
-	for i := range spans {
-		spans[i] = span{slot: n - 1 - i, width: 1}
-	}
-	CheckSchedule(spans,
-		func(s span) int { return s.slot },
-		func(s span) int { return s.width },
-		func(slot int) { t.Fatalf("valid large schedule rejected at %d", slot) })
-	if spans[0].slot != 0 || spans[n-1].slot != n-1 {
-		t.Fatal("large schedule not sorted")
 	}
 }

@@ -33,9 +33,8 @@ type Options struct {
 	// BSP and QSM machines ignore it.
 	Variant string
 
-	Seed    uint64
-	Workers int // host-CPU parallelism; <= 0 selects GOMAXPROCS
-	Trace   bool
+	Seed  uint64
+	Trace bool
 	// Observer, if non-nil, receives a normalized StepStats callback after
 	// every superstep.
 	Observer Observer

@@ -74,44 +74,3 @@ func (c *Core[S]) Offsets() []int {
 	}
 	return c.offsets
 }
-
-// Grid returns a recycled zeroed int buffer of length n — scratch for the
-// parallel router's per-worker count matrix (n = chunks × destinations).
-// Valid until the next call.
-func (c *Core[S]) Grid(n int) []int {
-	if cap(c.grid) < n {
-		c.grid = make([]int, n)
-	}
-	g := c.grid[:n]
-	for i := range g {
-		g[i] = 0
-	}
-	return g
-}
-
-// Workers returns the worker count of the core's pool.
-func (c *Core[S]) Workers() int { return c.pool.Workers() }
-
-// ChunkPlan reports the contiguous chunking ForChunks uses for n items:
-// the chunk width and the number of chunks. Chunk r covers
-// [r·width, min((r+1)·width, n)). The parallel router sizes its per-chunk
-// count matrix from this.
-func (c *Core[S]) ChunkPlan(n int) (width, chunks int) {
-	if n <= 0 {
-		return 0, 0
-	}
-	workers := c.pool.Workers()
-	if workers > n {
-		workers = n
-	}
-	width = (n + workers - 1) / workers
-	chunks = (n + width - 1) / width
-	return width, chunks
-}
-
-// ForChunks runs fn over the contiguous disjoint ranges of [0, n) reported
-// by ChunkPlan, in parallel on the core's pool. Merge strategies use it for
-// the destination-sharded routing passes.
-func (c *Core[S]) ForChunks(n int, fn func(lo, hi int)) {
-	c.pool.ForChunks(n, fn)
-}

@@ -25,7 +25,7 @@ func TestTaggedObserverScopesByGoroutine(t *testing.T) {
 			untag := TagGoroutine(tag)
 			defer untag()
 		}
-		c := NewCore[int]("test", 2, 1, false)
+		c := NewCore[int]("test", 2, false)
 		for i := 0; i < steps; i++ {
 			step(c, 1, 1, 1, 0)
 		}
@@ -54,7 +54,7 @@ func TestTagGoroutineUntagStopsDelivery(t *testing.T) {
 	}))
 	defer remove()
 
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, false)
 	untag := TagGoroutine("x")
 	step(c, 1, 0, 0, 0)
 	untag()
@@ -74,7 +74,7 @@ func TestTagGoroutineUntagStopsDelivery(t *testing.T) {
 // With no tags and no tagged observers the commit path stays allocation-free
 // — the gate is two atomic loads, not a stack parse.
 func TestTaggedTapIdleCostIsZeroAllocs(t *testing.T) {
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, false)
 	step(c, 1, 0, 0, 0) // warm scratch
 	allocs := testing.AllocsPerRun(100, func() {
 		step(c, 1, 0, 0, 0)
@@ -97,7 +97,7 @@ func TestAddTaggedObserverRemove(t *testing.T) {
 	untag := TagGoroutine("y")
 	defer untag()
 
-	c := NewCore[int]("test", 2, 1, false)
+	c := NewCore[int]("test", 2, false)
 	step(c, 1, 0, 0, 0)
 	remove()
 	remove()

@@ -2,12 +2,12 @@ package pram
 
 import "testing"
 
-// benchMachine builds a single-worker machine plus a representative
+// benchMachine builds a default machine plus a representative
 // lock-step program (every processor reads one cell and writes a private
 // cell). The program closure is hoisted so that per-call closure allocation
 // does not mask the machine's own allocation behavior.
 func benchMachine(p int) (*Machine, func()) {
-	m := New(Config{P: p, Mem: 2 * p, Mode: QRQW, Seed: 1, Workers: 1})
+	m := New(Config{P: p, Mem: 2 * p, Mode: QRQW, Seed: 1})
 	body := func(c *Ctx) {
 		v := c.Read((c.ID() + 1) % p)
 		c.Write(p+c.ID(), v+1)

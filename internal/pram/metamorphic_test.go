@@ -86,26 +86,6 @@ func TestIdleStepsLinear(t *testing.T) {
 	}
 }
 
-// Worker-count invariance for the PRAM engine.
-func TestPRAMWorkerInvariance(t *testing.T) {
-	run := func(workers int) (int64, float64) {
-		m := New(Config{P: 64, Mem: 64, Mode: CRCWArbitrary, Seed: 2, Workers: workers})
-		m.Step(func(c *Ctx) {
-			c.Write(c.ID()%16, int64(c.RNG().Intn(50)))
-		})
-		var sum int64
-		for a := 0; a < 64; a++ {
-			sum += m.Load(a)
-		}
-		return sum, m.Time()
-	}
-	s1, t1 := run(1)
-	s8, t8 := run(8)
-	if s1 != s8 || t1 != t8 {
-		t.Fatalf("worker count changed PRAM outcome: (%d,%v) vs (%d,%v)", s1, t1, s8, t8)
-	}
-}
-
 // ROM reads never change cost or shared state.
 func TestROMReadsFree(t *testing.T) {
 	rom := make([]int64, 16)

@@ -5,18 +5,19 @@
 // problem input from a separate, concurrently-readable Read-Only Memory at
 // no bandwidth charge.
 //
-// Execution is lock-step: each Step runs every processor's program, in which
-// a processor may issue at most one shared-memory read and one shared-memory
-// write (reads observe the memory as of the start of the step; writes apply
-// at the end). A step costs one time unit on EREW and CRCW machines and
-// max(1, κ) on QRQW machines, where κ is the maximum per-cell queue. EREW
-// machines panic on any concurrent access, which is how the engine surfaces
-// algorithmic model violations.
+// Execution is lock-step: each Step runs every processor's program, one
+// after another in processor order, in which a processor may issue at most
+// one shared-memory read and one shared-memory write (reads observe the
+// memory as of the start of the step; writes apply at the end). A step
+// costs one time unit on EREW and CRCW machines and max(1, κ) on QRQW
+// machines, where κ is the maximum per-cell queue. EREW machines panic on
+// any concurrent access, which is how the engine surfaces algorithmic model
+// violations.
 //
-// The lock-step loop itself — context lifecycle, worker-pool fan-out, clock
-// commit, observer fan-out — lives in internal/engine; this package
-// contributes the PRAM-specific commit strategy (contention accounting,
-// write resolution, bit accounting).
+// The lock-step loop itself — context lifecycle, the per-processor program
+// loop, clock commit, observer fan-out — lives in internal/engine; this
+// package contributes the PRAM-specific commit strategy (contention
+// accounting, write resolution, bit accounting).
 package pram
 
 import (
@@ -80,7 +81,6 @@ type Config struct {
 	// bandwidth accounting of Section 5 (Theorem 5.2). Zero means 64.
 	CellBits int
 	Seed     uint64
-	Workers  int
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every step (Machine.Attach adds more).
 	Observer engine.Observer
@@ -97,12 +97,13 @@ type Stats struct {
 }
 
 // Machine is a lock-step PRAM. Methods must be called from a single driver
-// goroutine.
+// goroutine; the per-processor programs passed to Step run on that
+// goroutine, one after another in processor order.
 //
 // Per-processor state is columnar: counters live in flat engine.Cols arrays
-// indexed by processor id, and buffered accesses live in O(cores)
-// chunk-local arenas addressed by the Off/Cnt columns, so machine memory is
-// O(p) flat words plus O(cores) objects — never O(p) objects.
+// indexed by processor id, and buffered accesses live in one access arena
+// addressed by the Off/Cnt columns, so machine memory is O(p) flat words
+// plus a constant number of objects — never O(p) objects.
 type Machine struct {
 	p        int
 	mem      []int64
@@ -112,13 +113,12 @@ type Machine struct {
 	core     *engine.Core[Stats]
 	cols     *engine.Cols
 
-	// shards are the chunk-local access arenas: chunk r of the fan-out (the
-	// contiguous processors [r·width, (r+1)·width)) appends its accesses to
-	// shards[r].buf, recycled across steps. Concatenating the shard arenas in
-	// shard order yields every access in ascending processor order, which is
-	// what the write-resolution rules iterate.
-	width  int
-	shards []shard
+	// arena is the access arena, recycled across steps: every processor
+	// appends its accesses to it in turn, so it holds every access in
+	// ascending processor order, which is what the write-resolution rules
+	// iterate. ctx is the one Ctx view every program runs under.
+	arena []access
+	ctx   Ctx
 
 	romRead int
 	bits    int
@@ -136,18 +136,8 @@ type Machine struct {
 	// closures handed to the engine core, built once so that Step itself is
 	// allocation-free.
 	fn       func(c *Ctx)
-	body     func(lo, hi int)
+	body     func(i int)
 	commitFn func() (Stats, engine.StepStats)
-}
-
-// shard is one chunk's recycled access arena plus the Ctx view its programs
-// run under and its ROM-read tally. Chunks are disjoint contiguous processor
-// ranges, so a shard is only ever touched by the one goroutine running its
-// chunk.
-type shard struct {
-	buf     []access
-	romHits int
-	ctx     Ctx
 }
 
 // New constructs a Machine from either the package-native Config or the
@@ -161,7 +151,6 @@ func New[C Config | engine.Options](cfg C) *Machine {
 			Mem:      o.Mem,
 			Mode:     modeFromName(o.Variant),
 			Seed:     o.Seed,
-			Workers:  o.Workers,
 			Observer: o.Observer,
 		})
 	}
@@ -206,7 +195,7 @@ func newMachine(cfg Config) *Machine {
 		rom:      cfg.ROM,
 		mode:     cfg.Mode,
 		cellBits: bits,
-		core:     engine.NewCore[Stats]("pram", cfg.P, cfg.Workers, false),
+		core:     engine.NewCore[Stats]("pram", cfg.P, false),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		rdCount:  make([]int, cfg.Mem),
 		wrCount:  make([]int, cfg.Mem),
@@ -215,25 +204,14 @@ func newMachine(cfg Config) *Machine {
 		winner:   make([]int, cfg.Mem),
 	}
 	m.core.Attach(cfg.Observer)
-	width, chunks := m.core.ChunkPlan(cfg.P)
-	m.width = width
-	m.shards = make([]shard, chunks)
-	for r := range m.shards {
-		m.shards[r].ctx = Ctx{m: m, sh: &m.shards[r]}
-	}
-	m.body = func(lo, hi int) {
-		sh := &m.shards[lo/m.width]
-		sh.buf = sh.buf[:0]
-		sh.romHits = 0
-		c := &sh.ctx
+	m.ctx.m = m
+	m.body = func(i int) {
 		cols := m.cols
-		for i := lo; i < hi; i++ {
-			cols.ResetProc(i)
-			cols.Off[i] = int32(len(sh.buf))
-			cols.Cnt[i] = 0
-			c.id = i
-			m.fn(c)
-		}
+		cols.ResetProc(i)
+		cols.Off[i] = int32(len(m.arena))
+		cols.Cnt[i] = 0
+		m.ctx.id = i
+		m.fn(&m.ctx)
 	}
 	m.commitFn = m.commit
 	return m
@@ -286,11 +264,10 @@ type access struct {
 
 // Ctx is the per-processor view of the current step. It is a thin
 // index-plus-pointer view: the state it reads and writes lives in the
-// machine's columnar arrays and its chunk's access arena.
+// machine's columnar arrays and its access arena.
 type Ctx struct {
 	id int
 	m  *Machine
-	sh *shard
 }
 
 // ID returns this processor's index.
@@ -305,14 +282,14 @@ func (c *Ctx) P() int { return c.m.p }
 func (c *Ctx) RNG() *xrand.Source { return c.m.cols.RNG(c.id) }
 
 // run returns this processor's accesses buffered so far this step — its run
-// is the tail of the chunk arena, at most two entries.
+// is the tail of the arena, at most two entries.
 func (c *Ctx) run() []access {
-	return c.sh.buf[c.m.cols.Off[c.id]:]
+	return c.m.arena[c.m.cols.Off[c.id]:]
 }
 
-// addAccess appends a to this processor's run in the chunk arena.
+// addAccess appends a to this processor's run in the arena.
 func (c *Ctx) addAccess(a access) {
-	c.sh.buf = append(c.sh.buf, a)
+	c.m.arena = append(c.m.arena, a)
 	c.m.cols.Cnt[c.id]++
 }
 
@@ -352,7 +329,7 @@ func (c *Ctx) ReadROM(addr int) int64 {
 	if c.m.rom == nil {
 		panic("pram: machine has no ROM")
 	}
-	c.sh.romHits++
+	c.m.romRead++
 	return c.m.rom[addr]
 }
 
@@ -361,6 +338,7 @@ func (c *Ctx) ReadROM(addr int) int64 {
 // advances. It returns the step's Stats.
 func (m *Machine) Step(fn func(c *Ctx)) Stats {
 	m.fn = fn
+	m.arena = m.arena[:0]
 	st := m.core.Step(m.body, m.commitFn)
 	m.fn = nil
 	m.bits += st.Bits
@@ -368,21 +346,16 @@ func (m *Machine) Step(fn func(c *Ctx)) Stats {
 }
 
 // commit is the PRAM merge strategy: walk the accesses in processor order
-// (the shard arenas concatenated in shard order), compute per-cell
-// contention, enforce the mode's rules, resolve writes, and price the step.
-// Write resolution depends only on processor order, never on worker
-// scheduling, so the memory image is identical for any worker count.
+// (the arena's order), compute per-cell contention, enforce the mode's
+// rules, resolve writes, and price the step. Write resolution depends only
+// on processor order.
 func (m *Machine) commit() (Stats, engine.StepStats) {
 	var st Stats
-	for r := range m.shards {
-		sh := &m.shards[r]
-		m.romRead += sh.romHits
-		for k := range sh.buf {
-			if sh.buf[k].write {
-				st.Writes++
-			} else {
-				st.Reads++
-			}
+	for k := range m.arena {
+		if m.arena[k].write {
+			st.Writes++
+		} else {
+			st.Reads++
 		}
 	}
 	for i := 0; i < m.p; i++ {
@@ -397,16 +370,14 @@ func (m *Machine) commit() (Stats, engine.StepStats) {
 	// counters are recycled: only touched cells are non-zero, and they are
 	// reset below once the step is resolved.
 	m.touched = m.touched[:0]
-	for r := range m.shards {
-		for _, a := range m.shards[r].buf {
-			if m.rdCount[a.addr] == 0 && m.wrCount[a.addr] == 0 {
-				m.touched = append(m.touched, a.addr)
-			}
-			if a.write {
-				m.wrCount[a.addr]++
-			} else {
-				m.rdCount[a.addr]++
-			}
+	for _, a := range m.arena {
+		if m.rdCount[a.addr] == 0 && m.wrCount[a.addr] == 0 {
+			m.touched = append(m.touched, a.addr)
+		}
+		if a.write {
+			m.wrCount[a.addr]++
+		} else {
+			m.rdCount[a.addr]++
 		}
 	}
 	for _, addr := range m.touched {
@@ -428,39 +399,33 @@ func (m *Machine) commit() (Stats, engine.StepStats) {
 	// Resolve writes.
 	switch m.mode {
 	case CRCWCommon:
-		for r := range m.shards {
-			for _, a := range m.shards[r].buf {
-				if !a.write {
-					continue
-				}
-				if m.sawWrite[a.addr] && m.lastVal[a.addr] != a.val {
-					panic(fmt.Sprintf("pram: Common-CRCW writers disagree at cell %d (%d vs %d)", a.addr, m.lastVal[a.addr], a.val))
-				}
-				m.sawWrite[a.addr] = true
-				m.lastVal[a.addr] = a.val
-				m.mem[a.addr] = a.val
+		for _, a := range m.arena {
+			if !a.write {
+				continue
 			}
+			if m.sawWrite[a.addr] && m.lastVal[a.addr] != a.val {
+				panic(fmt.Sprintf("pram: Common-CRCW writers disagree at cell %d (%d vs %d)", a.addr, m.lastVal[a.addr], a.val))
+			}
+			m.sawWrite[a.addr] = true
+			m.lastVal[a.addr] = a.val
+			m.mem[a.addr] = a.val
 		}
 	case CRCWPriority:
-		for r := range m.shards {
-			for _, a := range m.shards[r].buf {
-				if !a.write {
-					continue
-				}
-				if !m.sawWrite[a.addr] || a.proc < m.winner[a.addr] {
-					m.sawWrite[a.addr] = true
-					m.winner[a.addr] = a.proc
-					m.mem[a.addr] = a.val
-				}
+		for _, a := range m.arena {
+			if !a.write {
+				continue
+			}
+			if !m.sawWrite[a.addr] || a.proc < m.winner[a.addr] {
+				m.sawWrite[a.addr] = true
+				m.winner[a.addr] = a.proc
+				m.mem[a.addr] = a.val
 			}
 		}
 	default: // EREW, QRQW, CRCWArbitrary: processor-order application;
 		// the highest-numbered writer wins (Arbitrary rule).
-		for r := range m.shards {
-			for _, a := range m.shards[r].buf {
-				if a.write {
-					m.mem[a.addr] = a.val
-				}
+		for _, a := range m.arena {
+			if a.write {
+				m.mem[a.addr] = a.val
 			}
 		}
 	}

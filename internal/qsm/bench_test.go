@@ -6,13 +6,13 @@ import (
 	"parbw/internal/model"
 )
 
-// benchMachine builds a single-worker machine plus a representative phase
+// benchMachine builds a default machine plus a representative phase
 // program: every processor reads from the low half of memory and writes its
 // private cell in the high half (QSM forbids reading and writing the same
 // location in one phase). The program closure is hoisted so that per-call
 // closure allocation does not mask the machine's own behavior.
 func benchMachine(p int) (*Machine, func()) {
-	m := New(Config{P: p, Mem: 2 * p, Cost: model.QSMm(32), Seed: 1, Workers: 1})
+	m := New(Config{P: p, Mem: 2 * p, Cost: model.QSMm(32), Seed: 1})
 	body := func(c *Ctx) {
 		c.Charge(4)
 		c.Read((c.ID() + 1) % p)

@@ -17,10 +17,12 @@
 // histogram (processors schedule requests into steps via ReadAt/WriteAt, at
 // most one request per processor per step).
 //
-// The phase loop itself — context lifecycle, worker-pool fan-out, clock and
-// trace commit, observer fan-out — lives in internal/engine; this package
-// contributes the QSM-specific merge strategy (request validation,
-// contention accounting, write resolution, cost accounting).
+// A Machine runs the processors' programs of a phase one after another, in
+// processor order. The phase loop itself — context lifecycle, the
+// per-processor program loop, clock and trace commit, observer fan-out —
+// lives in internal/engine; this package contributes the QSM-specific merge
+// strategy (request validation, contention accounting, write resolution,
+// cost accounting).
 package qsm
 
 import (
@@ -50,12 +52,11 @@ type Stats struct {
 // low-level construction surface; most callers should build machines from
 // the cross-machine engine.Options instead (see New).
 type Config struct {
-	P       int        // processors
-	Mem     int        // shared-memory words
-	Cost    model.Cost // must be a QSM kind
-	Seed    uint64
-	Workers int
-	Trace   bool
+	P     int        // processors
+	Mem   int        // shared-memory words
+	Cost  model.Cost // must be a QSM kind
+	Seed  uint64
+	Trace bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every phase (Machine.Attach adds more).
 	Observer engine.Observer
@@ -70,12 +71,13 @@ type request struct {
 }
 
 // Machine is a simulated QSM machine. Methods must be called from a single
-// driver goroutine.
+// driver goroutine; the per-processor programs passed to Phase run on that
+// goroutine, one after another in processor order.
 //
 // Per-processor state is columnar: counters and cursors live in flat
 // engine.Cols arrays indexed by processor id, and buffered requests live in
-// O(cores) chunk-local arenas addressed by the Off/Cnt columns, so machine
-// memory is O(p) flat words plus O(cores) objects — never O(p) objects.
+// one request arena addressed by the Off/Cnt columns, so machine memory is
+// O(p) flat words plus a constant number of objects — never O(p) objects.
 type Machine struct {
 	p    int
 	mem  []int64
@@ -83,12 +85,12 @@ type Machine struct {
 	core *engine.Core[Stats]
 	cols *engine.Cols
 
-	// shards are the chunk-local request arenas: chunk r of the fan-out (the
-	// contiguous processors [r·width, (r+1)·width)) appends its requests to
-	// shards[r].buf, recycled across phases. Each shard also carries the one
-	// Ctx its chunk's programs share.
-	width  int
-	shards []shard
+	// arena is the request arena, recycled across phases: every processor
+	// appends its requests to it in turn, so it holds the processors' runs
+	// concatenated in processor order. ctx is the one Ctx view every
+	// program runs under.
+	arena []request
+	ctx   Ctx
 
 	// scratch contention counters indexed by address, plus the touched
 	// addresses of the current phase, reused across phases
@@ -99,22 +101,14 @@ type Machine struct {
 	// closures handed to the engine core, built once so that Phase itself is
 	// allocation-free.
 	fn      func(c *Ctx)
-	body    func(lo, hi int)
+	body    func(i int)
 	mergeFn func() (Stats, engine.StepStats)
 }
 
-// shard is one chunk's recycled request arena plus the Ctx view its programs
-// run under. Chunks are disjoint contiguous processor ranges, so a shard is
-// only ever touched by the one goroutine running its chunk.
-type shard struct {
-	buf []request
-	ctx Ctx
-}
-
-// reqs returns processor i's buffered run inside its shard's arena.
+// reqs returns processor i's buffered run inside the request arena.
 func (m *Machine) reqs(i int) []request {
 	off := m.cols.Off[i]
-	return m.shards[i/m.width].buf[off : off+m.cols.Cnt[i]]
+	return m.arena[off : off+m.cols.Cnt[i]]
 }
 
 // New constructs a Machine from either the package-native Config or the
@@ -128,7 +122,6 @@ func New[C Config | engine.Options](cfg C) *Machine {
 			Mem:      o.Mem,
 			Cost:     o.QSMCost(),
 			Seed:     o.Seed,
-			Workers:  o.Workers,
 			Trace:    o.Trace,
 			Observer: o.Observer,
 		})
@@ -150,30 +143,20 @@ func newMachine(cfg Config) *Machine {
 		p:       cfg.P,
 		mem:     make([]int64, cfg.Mem),
 		cost:    cfg.Cost,
-		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Workers, cfg.Trace),
+		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Trace),
 		cols:    engine.NewCols(cfg.P, cfg.Seed),
 		rdCount: make([]int, cfg.Mem),
 		wrCount: make([]int, cfg.Mem),
 	}
 	m.core.Attach(cfg.Observer)
-	width, chunks := m.core.ChunkPlan(cfg.P)
-	m.width = width
-	m.shards = make([]shard, chunks)
-	for r := range m.shards {
-		m.shards[r].ctx = Ctx{m: m, sh: &m.shards[r]}
-	}
-	m.body = func(lo, hi int) {
-		sh := &m.shards[lo/m.width]
-		sh.buf = sh.buf[:0]
-		c := &sh.ctx
+	m.ctx.m = m
+	m.body = func(i int) {
 		cols := m.cols
-		for i := lo; i < hi; i++ {
-			cols.ResetProc(i)
-			cols.Off[i] = int32(len(sh.buf))
-			cols.Cnt[i] = 0
-			c.id = i
-			m.fn(c)
-		}
+		cols.ResetProc(i)
+		cols.Off[i] = int32(len(m.arena))
+		cols.Cnt[i] = 0
+		m.ctx.id = i
+		m.fn(&m.ctx)
 	}
 	m.mergeFn = m.merge
 	return m
@@ -216,11 +199,10 @@ func (m *Machine) Store(addr int, val int64) { m.mem[addr] = val }
 
 // Ctx is the per-processor view of the current phase. It is a thin
 // index-plus-pointer view: the state it reads and writes lives in the
-// machine's columnar arrays and its chunk's request arena.
+// machine's columnar arrays and its request arena.
 type Ctx struct {
 	id int
 	m  *Machine
-	sh *shard
 }
 
 // ID returns this processor's index.
@@ -264,7 +246,7 @@ func (c *Ctx) WriteAt(slot, addr int, val int64) {
 
 // addReq is the per-request hot path; the panics live in separate functions
 // so that it stays within the inlining budget, and the request is written in
-// place in the chunk's arena rather than appended by value.
+// place in the arena rather than appended by value.
 func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	if slot < 0 {
 		c.badSlot(slot)
@@ -272,7 +254,7 @@ func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	if addr < 0 || addr >= len(c.m.mem) {
 		c.badAddr(addr)
 	}
-	buf := c.sh.buf
+	buf := c.m.arena
 	n := len(buf)
 	if n == cap(buf) {
 		buf = append(buf, request{})
@@ -284,7 +266,7 @@ func (c *Ctx) addReq(slot, addr int, val int64, write bool) {
 	r.addr = addr
 	r.val = val
 	r.write = write
-	c.sh.buf = buf
+	c.m.arena = buf
 	cols := c.m.cols
 	cols.Cnt[c.id]++
 	if slot+1 > cols.AutoSlot[c.id] {
@@ -306,6 +288,7 @@ func (c *Ctx) badAddr(addr int) {
 // contention and cost, and advances the clock. It returns the phase Stats.
 func (m *Machine) Phase(fn func(c *Ctx)) Stats {
 	m.fn = fn
+	m.arena = m.arena[:0]
 	st := m.core.Step(m.body, m.mergeFn)
 	m.fn = nil
 	return st
@@ -318,8 +301,8 @@ const insertionSortMax = 32
 // merge is the QSM merge strategy: it validates request schedules, computes
 // contention κ, applies buffered writes, and prices the phase. Processors
 // are walked in ascending id order via their arena runs, so every
-// order-sensitive outcome (the Arbitrary write rule, panic attribution) is
-// identical for any worker count.
+// order-sensitive outcome (the Arbitrary write rule, panic attribution)
+// follows processor order.
 func (m *Machine) merge() (Stats, engine.StepStats) {
 	var st Stats
 	m.touched = m.touched[:0]
@@ -349,12 +332,10 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 		st.Reads += nr
 		st.Writes += nw
 		// Validate one request per processor per step: sort by slot, then
-		// reject duplicates. Inlined on the concrete request type (the
-		// generic closure-based engine.CheckSchedule dominated the
-		// pre-rework phase-merge profile); short schedules take the
-		// allocation-free insertion sort. Slots are strictly increasing
-		// after a valid sort, so the processor's step span is the last
-		// request's slot.
+		// reject duplicates. Inlined on the concrete request type; short
+		// schedules take the allocation-free insertion sort. Slots are
+		// strictly increasing after a valid sort, so the processor's step
+		// span is the last request's slot.
 		if n := len(reqs); n > 1 {
 			if n <= insertionSortMax {
 				for a := 1; a < n; a++ {
@@ -410,14 +391,11 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	// Histogram over request steps; apply writes in processor order so the
 	// highest-numbered writer wins deterministically (Arbitrary rule).
 	hist := m.core.Hist(maxStep)
-	for i := 0; i < m.p; i++ {
-		reqs := m.reqs(i)
-		for k := range reqs {
-			r := &reqs[k]
-			hist[r.slot]++
-			if r.write {
-				m.mem[r.addr] = r.val
-			}
+	for k := range m.arena {
+		r := &m.arena[k]
+		hist[r.slot]++
+		if r.write {
+			m.mem[r.addr] = r.val
 		}
 	}
 	for _, mt := range hist {

@@ -322,15 +322,15 @@ func TestExecutorRecoversPanics(t *testing.T) {
 	}
 }
 
-// A processor program that panics inside a multi-worker superstep must fail
-// its task with the panic text, never crash the process from an engine
-// worker goroutine, and leave the server able to run the next job.
+// A processor program that panics inside a superstep must fail its task
+// with the panic text, never crash the process, and leave the server able
+// to run the next job.
 func TestExecutorRecoversSuperstepPanics(t *testing.T) {
 	boom := func(id string, cfg harness.Config) (*result.Result, error) {
 		if id != "table1/broadcast" {
 			return DefaultRunner(id, cfg)
 		}
-		m := bsp.New(bsp.Config{P: 8, Cost: model.BSPg(1, 1), Seed: 1, Workers: 4})
+		m := bsp.New(bsp.Config{P: 8, Cost: model.BSPg(1, 1), Seed: 1})
 		m.Superstep(func(c *bsp.Ctx) {
 			if c.ID() == 5 {
 				panic("proc 5 exploded")

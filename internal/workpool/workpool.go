@@ -1,8 +1,9 @@
-// Package workpool provides a bounded parallel-for used by the machine
-// engines to execute the per-processor programs of a superstep on real CPU
-// cores. The simulated machine may have many more processors than the host
-// has cores; workpool chunks the index space so that goroutine overhead stays
-// proportional to the core count, not the simulated processor count.
+// Package workpool provides a bounded parallel-for that runs whole
+// independent units of work — the service executor's experiment cells and
+// `bandsim fuzz`'s seeds — on real CPU cores. It chunks the index space so
+// that goroutine overhead stays proportional to the worker count, not the
+// number of items. The machine engines do not use it: a superstep runs its
+// processors one after another on the driver goroutine.
 package workpool
 
 import (
@@ -21,8 +22,7 @@ func defaultWorkers() int {
 }
 
 // Pool runs parallel-for loops with a fixed worker count. The zero value is
-// not usable; construct with New. Pool is safe for concurrent use, but the
-// simulator engines call it from a single driver goroutine.
+// not usable; construct with New. Pool is safe for concurrent use.
 type Pool struct {
 	workers int
 }
@@ -41,8 +41,8 @@ func (p *Pool) Workers() int { return p.workers }
 
 // ForChunks invokes fn(lo, hi) for contiguous disjoint ranges covering
 // [0, n), one range per worker, and returns after every call has finished.
-// Chunking is contiguous rather than strided so that per-processor state
-// arrays are traversed with good locality, and callers amortize per-chunk
+// Chunking is contiguous rather than strided so that per-item state arrays
+// are traversed with good locality, and callers amortize per-chunk
 // setup (a scratch buffer, a cancellation check) across the range.
 //
 // A panic in fn never escapes a worker goroutine. Each chunk recovers its
