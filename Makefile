@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-cpu race chaos chaos-cluster stream-chaos bench bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
+.PHONY: all build vet test test-cpu determinism race chaos chaos-cluster stream-chaos bench bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
 
 all: build test
 
@@ -24,6 +24,13 @@ test:
 # machines at either setting.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,4 ./internal/...
+
+# Model time must not depend on GOMAXPROCS (CI runs this): the golden
+# default-parameter results — async/backpressure included — and the async
+# machine's own suite, ten times each at 1, 2 and 4 CPUs.
+determinism:
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestGoldenDefaultParamsMatchSeed' ./internal/harness
+	$(GO) test -count=10 -cpu 1,2,4 ./internal/async
 
 # Full suite under the race detector (CI runs this).
 race:

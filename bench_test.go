@@ -408,7 +408,7 @@ func BenchmarkAsyncBackpressure(b *testing.B) {
 	p, mm, per := 128, 16, 32
 	var done float64
 	for i := 0; i < b.N; i++ {
-		ma := async.New(async.Config{P: p, M: mm, Latency: 4, Buffer: p * per})
+		ma := async.New(async.Config{P: p, M: mm, Latency: 4})
 		done = ma.Run(func(pr *async.Proc) {
 			for k := 0; k < per; k++ {
 				pr.Send((pr.ID()+1+k)%p, int64(k))

@@ -1,8 +1,12 @@
 package async
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parbw/internal/xrand"
 )
@@ -171,7 +175,7 @@ func TestAsyncTracksGlobalBoundAcrossSkew(t *testing.T) {
 		for k := 0; k < n; k++ {
 			recvCount[(k+1)%p]++
 		}
-		mach := New(Config{P: p, M: m, Latency: 2, Buffer: n + 8})
+		mach := New(Config{P: p, M: m, Latency: 2})
 		kseq := make([][]int, p)
 		idx := 0
 		for s := 0; s < heavy; s++ {
@@ -205,4 +209,102 @@ func maxOf(xs []int64) int64 {
 		}
 	}
 	return m
+}
+
+// uniformBurst is the async/backpressure workload: every processor sends
+// per messages to its next per neighbours, then receives per messages.
+func uniformBurst(p, per int) func(pr *Proc) {
+	return func(pr *Proc) {
+		for k := 0; k < per; k++ {
+			pr.Send((pr.ID()+1+k)%p, int64(k))
+		}
+		for k := 0; k < per; k++ {
+			pr.Recv()
+		}
+	}
+}
+
+// The baton schedule makes completion a function of the program alone: the
+// same run returns the same time at GOMAXPROCS 1 and 4, run after run.
+func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	run := func(procs int) []float64 {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		var out []float64
+		for _, c := range []struct{ p, m, per int }{{128, 16, 32}, {32, 3, 8}, {257, 16, 4}} {
+			out = append(out, New(Config{P: c.p, M: c.m, Latency: 4}).Run(uniformBurst(c.p, c.per)))
+			// A skewed exchange: processor 0 also drains everyone's extra
+			// message, interleaving its receives with the others' sends.
+			mach := New(Config{P: c.p, M: c.m, Latency: 2})
+			out = append(out, mach.Run(func(pr *Proc) {
+				if pr.ID() == 0 {
+					for k := 1; k < c.p; k++ {
+						pr.Recv()
+						pr.Work(1)
+					}
+					return
+				}
+				pr.Work(float64(pr.ID() % 5))
+				pr.Send(0, int64(pr.ID()))
+			}))
+		}
+		return out
+	}
+	want := run(1)
+	for rep := 0; rep < 3; rep++ {
+		got := run(4)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d case %d: completion %v at GOMAXPROCS 4, %v at 1", rep, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// A program in which every processor only receives can never progress; Run
+// panics with a deadlock message instead of hanging, and unwinds the
+// blocked processors.
+func TestRecvOnlyProgramDeadlockPanics(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), "deadlock") {
+				t.Fatalf("recovered %v, want a deadlock panic", r)
+			}
+		}()
+		New(Config{P: 8, M: 2}).Run(func(pr *Proc) { pr.Recv() })
+	}()
+	waitGoroutines(t, before)
+}
+
+// A panicking processor program re-panics on Run's caller with the
+// program's value; the other processors are unwound.
+func TestProgramPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		New(Config{P: 4, M: 1}).Run(func(pr *Proc) {
+			if pr.ID() == 2 {
+				panic("boom")
+			}
+			pr.Recv()
+		})
+	}()
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to n.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < 100 && runtime.NumGoroutine() > n; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > n {
+		t.Fatalf("%d goroutines left running, want %d", got, n)
+	}
 }

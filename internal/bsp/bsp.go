@@ -75,9 +75,9 @@ type Stats struct {
 }
 
 // Config configures a Machine with an explicit model.Cost. It is the
-// low-level construction surface; most callers should build machines from
-// the cross-machine engine.Options instead (see New). Config remains for
-// cost models Options cannot express, such as the self-scheduling BSP(m).
+// construction surface nearly every caller uses, and the only one for cost
+// models engine.Options cannot express, such as the self-scheduling BSP(m)
+// (see New).
 type Config struct {
 	P    int        // number of simulated processors (>= 1)
 	Cost model.Cost // cost model; must be a BSP kind
@@ -85,7 +85,7 @@ type Config struct {
 	// Trace, if true, retains the Stats of every superstep (Machine.Trace).
 	Trace bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
-	// after every superstep (Machine.Attach adds more).
+	// after every superstep.
 	Observer engine.Observer
 }
 
@@ -167,12 +167,11 @@ func newMachine(cfg Config) *Machine {
 	m := &Machine{
 		p:        cfg.P,
 		cost:     cfg.Cost,
-		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Trace),
+		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Trace, cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		inOff:    make([]int32, cfg.P+1),
 		spareOff: make([]int32, cfg.P+1),
 	}
-	m.core.Attach(cfg.Observer)
 	m.ctx.m = m
 	m.body = func(i int) {
 		cols := m.cols
@@ -206,9 +205,6 @@ func (m *Machine) Last() Stats { return m.core.Last() }
 
 // Trace returns the retained per-superstep Stats (nil unless Config.Trace).
 func (m *Machine) Trace() []Stats { return m.core.Trace() }
-
-// Attach registers an observer for this machine's supersteps.
-func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
 
 // ChargeTime adds t units of simulated time outside any superstep. It is
 // used by protocols whose analysis charges fixed terms (for example a known

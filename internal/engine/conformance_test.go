@@ -6,7 +6,7 @@ package engine_test
 // seeded slot-scheduled workload through each machine and checks the shared
 // Stats invariants — N equals the sum of issued requests, Steps equals the
 // maximum slot + 1, per-slot histograms agree, and cost is monotone in
-// per-step overload — plus the ordering contract of the observer layer.
+// per-step overload — plus the ordering contract of the machine observer.
 
 import (
 	"testing"
@@ -193,51 +193,43 @@ func TestConformanceCostMonotoneInOverload(t *testing.T) {
 	}
 }
 
-// Observer contract: per-machine observers fire before the process-global
-// tap, per committed step, in superstep order, with the stats the machine
-// itself retains.
+// Observer contract: a machine's observer fires once per committed step, in
+// superstep order, with the stats the machine itself retains. One observer
+// handed to two machines — what a harness run does with Config.Observer —
+// sees both machines' steps interleaved in commit order, each under its own
+// machine label and index.
 func TestObserverCallbackOrdering(t *testing.T) {
-	type event struct {
-		scope string
-		st    engine.StepStats
-	}
-	var events []event
-	m := bsp.New(bsp.Config{
-		P: 8, Cost: model.BSPm(4, 1), Seed: 1, Trace: true,
-		Observer: engine.ObserverFunc(func(st engine.StepStats) {
-			events = append(events, event{"machine", st})
-		}),
-	})
-	remove := engine.AddGlobalObserver(engine.ObserverFunc(func(st engine.StepStats) {
-		events = append(events, event{"global", st})
-	}))
-	defer remove()
+	var events []engine.StepStats
+	obs := engine.ObserverFunc(func(st engine.StepStats) { events = append(events, st) })
+	b := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(4, 1), Seed: 1, Trace: true, Observer: obs})
+	q := qsm.New(qsm.Config{P: 8, Mem: 8, Cost: model.QSMm(4), Seed: 1, Trace: true, Observer: obs})
+	bare := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(4, 1), Seed: 1})
 
 	const steps = 5
 	for s := 0; s < steps; s++ {
-		m.Superstep(func(c *bsp.Ctx) {
+		b.Superstep(func(c *bsp.Ctx) {
 			c.Charge(s + 1)
 			c.Send((c.ID()+1)%8, 1, int64(s))
 		})
+		q.Phase(func(c *qsm.Ctx) { c.Write(c.ID(), int64(s)) })
+		bare.Superstep(func(c *bsp.Ctx) { c.Send((c.ID()+1)%8, 1, 0) })
 	}
-	remove()
 
 	if len(events) != 2*steps {
-		t.Fatalf("saw %d events, want %d", len(events), 2*steps)
+		t.Fatalf("saw %d events, want %d (the unobserved machine must not report)", len(events), 2*steps)
 	}
-	trace := m.Trace()
+	bt, qt := b.Trace(), q.Trace()
 	for s := 0; s < steps; s++ {
-		loc, glob := events[2*s], events[2*s+1]
-		if loc.scope != "machine" || glob.scope != "global" {
-			t.Fatalf("step %d: order = (%s, %s), want (machine, global)", s, loc.scope, glob.scope)
+		be, qe := events[2*s], events[2*s+1]
+		if be.Machine != "bsp" || be.Index != s || qe.Machine != "qsm" || qe.Index != s {
+			t.Fatalf("step %d: got (%s %d, %s %d), want (bsp %d, qsm %d)",
+				s, be.Machine, be.Index, qe.Machine, qe.Index, s, s)
 		}
-		for _, ev := range []event{loc, glob} {
-			if ev.st.Machine != "bsp" || ev.st.Index != s {
-				t.Fatalf("step %d: got machine %q index %d", s, ev.st.Machine, ev.st.Index)
-			}
-			if ev.st.Cost != trace[s].Cost || ev.st.N != trace[s].N || ev.st.W != trace[s].W {
-				t.Fatalf("step %d: observer stats %+v diverge from trace %+v", s, ev.st, trace[s])
-			}
+		if be.Cost != bt[s].Cost || be.N != bt[s].N || be.W != bt[s].W {
+			t.Fatalf("step %d: bsp observer stats %+v diverge from trace %+v", s, be, bt[s])
+		}
+		if qe.Cost != qt[s].Cost || qe.N != qt[s].Reads+qt[s].Writes {
+			t.Fatalf("step %d: qsm observer stats %+v diverge from trace %+v", s, qe, qt[s])
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // abstract loop — reset per-processor contexts, run the per-processor
 // programs one after another on the driver goroutine, run a model-specific
 // merge that validates schedules and computes the step's cost, then commit:
-// advance the simulated clock, retain the step's statistics, and notify
-// observers.
+// advance the simulated clock, retain the step's statistics, and notify the
+// machine's observer.
 // Before this package existed that loop was implemented once per machine;
 // Core implements it exactly once, parameterized by the machine's native
 // per-step Stats type S and its merge strategy.
@@ -12,9 +12,10 @@
 // Core also owns the recycled scratch buffers the merge strategies share
 // (the per-step injection histogram and a per-processor ledger), the
 // retained trace, a fixed-size ring of recent steps that is always on, and
-// the observability layer of observer.go: normalized per-step callbacks plus
-// cheap process-wide atomic counters that aggregate across every machine in
-// the process (surfaced by `bandsim serve` on /statsz).
+// the observability layer of observer.go: a normalized per-step callback to
+// the machine's observer plus cheap process-wide atomic counters that
+// aggregate across every machine in the process (surfaced by `bandsim serve`
+// on /statsz).
 //
 // The merge strategy returns both the machine's native Stats value and a
 // normalized StepStats view; Core commits the former and publishes the
@@ -48,17 +49,19 @@ type Core[S any] struct {
 	ledger  []int // recycled per-processor counter, length p
 	offsets []int // recycled per-processor counter, length p (slab.go)
 
-	observers []Observer
+	obs Observer
 }
 
 // NewCore constructs a Core for a machine with p simulated processors.
 // label names the machine family in StepStats ("bsp", "qsm", "pram");
-// keepTrace retains every step's native Stats for Trace.
-func NewCore[S any](label string, p int, keepTrace bool) *Core[S] {
+// keepTrace retains every step's native Stats for Trace; obs, if non-nil,
+// receives every committed step.
+func NewCore[S any](label string, p int, keepTrace bool, obs Observer) *Core[S] {
 	return &Core[S]{
 		label: label,
 		p:     p,
 		keep:  keepTrace,
+		obs:   obs,
 	}
 }
 
@@ -82,14 +85,6 @@ func (c *Core[S]) Trace() []S { return c.trace }
 
 // ChargeTime adds t units of simulated time outside any superstep.
 func (c *Core[S]) ChargeTime(t model.Time) { c.time += t }
-
-// Attach registers an observer for this machine's steps. Per-machine
-// observers run before the process-global ones, in attachment order.
-func (c *Core[S]) Attach(obs Observer) {
-	if obs != nil {
-		c.observers = append(c.observers, obs)
-	}
-}
 
 // Hist returns the recycled histogram buffer resized and zeroed to n slots.
 // The returned slice is owned by the Core and valid until the next call.
@@ -138,7 +133,7 @@ func (c *Core[S]) Recent() []StepStats {
 // then merge — the model-specific strategy — validates schedules, routes
 // traffic, and prices the step, returning the machine's native Stats
 // together with the normalized StepStats view. Core commits the result:
-// clock, counters, trace, ring, observers.
+// clock, counters, trace, ring, observer.
 func (c *Core[S]) Step(body func(i int), merge func() (S, StepStats)) S {
 	for i := 0; i < c.p; i++ {
 		body(i)
@@ -157,17 +152,15 @@ func (c *Core[S]) Step(body func(i int), merge func() (S, StepStats)) S {
 	c.ring[c.ringN%ringCap] = ringView
 	c.ringN++
 	countStep(view)
-	for _, obs := range c.observers {
-		obs.OnStep(view)
+	if c.obs != nil {
+		c.obs.OnStep(view)
 	}
-	notifyGlobal(view)
-	notifyTagged(view)
 	return st
 }
 
 // ResetClock clears time, step count, last stats, trace, and the recent
-// ring. Scratch buffers and observers are preserved, matching the machines'
-// Reset semantics (processor RNG state lives in the machines).
+// ring. Scratch buffers and the observer are preserved, matching the
+// machines' Reset semantics (processor RNG state lives in the machines).
 func (c *Core[S]) ResetClock() {
 	var zero S
 	c.time = 0

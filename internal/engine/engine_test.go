@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // step drives one trivial superstep on c whose merge reports the given cost
 // and traffic.
@@ -11,7 +14,7 @@ func step(c *Core[int], cost float64, n, maxSlot, overload int) {
 }
 
 func TestCoreClockAndTrace(t *testing.T) {
-	c := NewCore[int]("test", 4, true)
+	c := NewCore[int]("test", 4, true, nil)
 	if c.P() != 4 || c.Label() != "test" {
 		t.Fatalf("P/Label = %d/%q", c.P(), c.Label())
 	}
@@ -40,7 +43,7 @@ func TestCoreClockAndTrace(t *testing.T) {
 }
 
 func TestCoreNoTraceByDefault(t *testing.T) {
-	c := NewCore[int]("test", 2, false)
+	c := NewCore[int]("test", 2, false, nil)
 	step(c, 1, 0, 0, 0)
 	if c.Trace() != nil {
 		t.Fatal("trace retained without keepTrace")
@@ -49,7 +52,7 @@ func TestCoreNoTraceByDefault(t *testing.T) {
 
 func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 	const p = 100
-	c := NewCore[int]("test", p, false)
+	c := NewCore[int]("test", p, false, nil)
 	hits := make([]int, p)
 	c.Step(func(i int) { hits[i]++ }, func() (int, StepStats) { return 0, StepStats{} })
 	for i, h := range hits {
@@ -60,7 +63,7 @@ func TestCoreBodyRunsEveryProcessor(t *testing.T) {
 }
 
 func TestHistRecycled(t *testing.T) {
-	c := NewCore[int]("test", 2, false)
+	c := NewCore[int]("test", 2, false, nil)
 	h1 := c.Hist(8)
 	if len(h1) != 8 {
 		t.Fatalf("len = %d", len(h1))
@@ -83,7 +86,7 @@ func TestHistRecycled(t *testing.T) {
 }
 
 func TestLedgerRecycled(t *testing.T) {
-	c := NewCore[int]("test", 5, false)
+	c := NewCore[int]("test", 5, false, nil)
 	l1 := c.Ledger()
 	if len(l1) != 5 {
 		t.Fatalf("len = %d", len(l1))
@@ -99,7 +102,7 @@ func TestLedgerRecycled(t *testing.T) {
 }
 
 func TestRecentRing(t *testing.T) {
-	c := NewCore[int]("test", 1, false)
+	c := NewCore[int]("test", 1, false, nil)
 	for i := 0; i < ringCap+10; i++ {
 		step(c, float64(i), 0, 0, 0)
 	}
@@ -125,7 +128,7 @@ func TestRecentRing(t *testing.T) {
 // exactly ringCap committed steps must return all of them in order, and one
 // more must drop exactly the oldest.
 func TestRecentAtRingBoundary(t *testing.T) {
-	c := NewCore[int]("test", 1, false)
+	c := NewCore[int]("test", 1, false, nil)
 	for i := 0; i < ringCap; i++ {
 		step(c, float64(i), 0, 0, 0)
 	}
@@ -154,9 +157,8 @@ func TestRecentAtRingBoundary(t *testing.T) {
 }
 
 func TestObserverSeesCommittedSteps(t *testing.T) {
-	c := NewCore[int]("obs", 3, false)
 	var got []StepStats
-	c.Attach(ObserverFunc(func(st StepStats) { got = append(got, st) }))
+	c := NewCore[int]("obs", 3, false, ObserverFunc(func(st StepStats) { got = append(got, st) }))
 	step(c, 2, 5, 3, 1)
 	step(c, 4, 6, 2, 0)
 	if len(got) != 2 {
@@ -173,28 +175,72 @@ func TestObserverSeesCommittedSteps(t *testing.T) {
 }
 
 func TestAttachNilObserverIgnored(t *testing.T) {
-	c := NewCore[int]("test", 1, false)
-	c.Attach(nil)
+	c := NewCore[int]("test", 1, false, nil)
 	step(c, 1, 0, 0, 0) // must not panic
 }
 
-func TestGlobalObserverAddRemove(t *testing.T) {
-	c := NewCore[int]("test", 1, false)
-	var n int
-	remove := AddGlobalObserver(ObserverFunc(func(st StepStats) { n++ }))
-	step(c, 1, 0, 0, 0)
-	step(c, 1, 0, 0, 0)
-	remove()
-	remove() // idempotent
-	step(c, 1, 0, 0, 0)
-	if n != 2 {
-		t.Fatalf("global observer saw %d steps, want 2", n)
+// An observer sees the steps of the machine it was constructed with and no
+// other: a machine built without one notifies nobody, and ResetClock keeps
+// the observer.
+func TestObserverSeesOnlyItsMachine(t *testing.T) {
+	var a, b int
+	ca := NewCore[int]("a", 1, false, ObserverFunc(func(StepStats) { a++ }))
+	cb := NewCore[int]("b", 1, false, ObserverFunc(func(StepStats) { b++ }))
+	cn := NewCore[int]("none", 1, false, nil)
+	step(ca, 1, 0, 0, 0)
+	step(cb, 1, 0, 0, 0)
+	step(cb, 1, 0, 0, 0)
+	step(cn, 1, 0, 0, 0)
+	ca.ResetClock()
+	step(ca, 1, 0, 0, 0)
+	if a != 2 || b != 2 {
+		t.Fatalf("observers saw a=%d b=%d steps, want 2 and 2", a, b)
+	}
+}
+
+// Machines driven on concurrent goroutines each report to their own
+// observer, with no shared state on the notify path (run under -race).
+func TestConcurrentMachinesObserveOwnSteps(t *testing.T) {
+	want := []int{3, 5, 7}
+	got := make([]int, len(want))
+	var wg sync.WaitGroup
+	for k, steps := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewCore[int]("test", 2, false, ObserverFunc(func(StepStats) { got[k]++ }))
+			for i := 0; i < steps; i++ {
+				step(c, 1, 1, 1, 0)
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("machine %d: observer saw %d steps, want %d", k, got[k], want[k])
+		}
+	}
+}
+
+// Notifying an observer keeps the commit path allocation-free.
+func TestObservedStepZeroAllocs(t *testing.T) {
+	n := 0
+	c := NewCore[int]("test", 2, false, ObserverFunc(func(StepStats) { n++ }))
+	step(c, 1, 0, 0, 0) // warm scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		step(c, 1, 0, 0, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("observed step costs %v allocs, want 0", allocs)
+	}
+	if n != 102 {
+		t.Fatalf("observer saw %d steps, want 102", n)
 	}
 }
 
 func TestGlobalCountersAdvance(t *testing.T) {
 	before := GlobalCounters()
-	c := NewCore[int]("test", 2, false)
+	c := NewCore[int]("test", 2, false, nil)
 	step(c, 1, 10, 3, 2)
 	step(c, 1, 5, 1, 0)
 	after := GlobalCounters()

@@ -10,10 +10,10 @@ import "parbw/internal/model"
 // variant (for the PRAM, which has neither, both are ignored and Variant
 // picks the memory discipline).
 //
-// The per-package Config structs remain the low-level escape hatch for
-// knobs Options deliberately omits (a custom model.Cost such as the
-// self-scheduling BSP(m), the PRAM's ROM and CellBits); new callers should
-// construct machines from Options.
+// The per-package Config structs are the surface nearly every caller uses,
+// and the only one for knobs Options deliberately omits (a custom
+// model.Cost such as the self-scheduling BSP(m), the PRAM's ROM and
+// CellBits). Options suits code that picks the model from plain numbers.
 type Options struct {
 	Procs int // number of simulated processors (>= 1)
 	Mem   int // shared-memory words (QSM and PRAM machines; ignored by BSP)
@@ -36,7 +36,7 @@ type Options struct {
 	Seed  uint64
 	Trace bool
 	// Observer, if non-nil, receives a normalized StepStats callback after
-	// every superstep.
+	// every superstep of the machine built from these options.
 	Observer Observer
 }
 

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"parbw/internal/engine"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -64,6 +66,22 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Fatalf("experiment %s produced no table header", e.ID)
 			}
 		})
+	}
+}
+
+// Every machine an experiment builds must carry the run's observer: run
+// serially, the observer sees exactly the supersteps the engine counted
+// process-wide. A constructor call that forgot cfg.Observer shows up here
+// as a shortfall.
+func TestObserverSeesEveryMachineStep(t *testing.T) {
+	for _, e := range All() {
+		var seen uint64
+		obs := engine.ObserverFunc(func(engine.StepStats) { seen++ })
+		before := engine.GlobalCounters().Supersteps
+		e.Run(io.Discard, Config{Seed: 1, Params: QuickParams(), Observer: obs})
+		if committed := engine.GlobalCounters().Supersteps - before; seen != committed {
+			t.Errorf("%s: observer saw %d supersteps, engine committed %d", e.ID, seen, committed)
+		}
 	}
 }
 

@@ -257,8 +257,8 @@ func TestSweepOverrideCollapses(t *testing.T) {
 }
 
 // An attached observer must see only its own run's supersteps even while
-// other experiments hammer the engine concurrently (the process-global tap
-// is serialized by harness.Run).
+// other experiments hammer the engine concurrently: each run hands its
+// observer to the machines it builds, and to no others.
 func TestObserverScopedUnderConcurrentRuns(t *testing.T) {
 	e, _ := ByID("table1/parity")
 	count := func() int64 {
@@ -293,7 +293,7 @@ func TestObserverScopedUnderConcurrentRuns(t *testing.T) {
 		if got := count(); got != solo {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("observed %d supersteps under load, want %d (tap leaked across runs)", got, solo)
+			t.Fatalf("observed %d supersteps under load, want %d (observer leaked across runs)", got, solo)
 		}
 	}
 	close(stop)

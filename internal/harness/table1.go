@@ -5,6 +5,7 @@ import (
 
 	"parbw/internal/bsp"
 	"parbw/internal/collective"
+	"parbw/internal/engine"
 	"parbw/internal/lower"
 	"parbw/internal/model"
 	"parbw/internal/problems"
@@ -17,26 +18,26 @@ import (
 // limited machine with gap g and its globally-limited counterpart with the
 // same aggregate bandwidth m = p/g.
 
-func newBSPg(p, g, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPg(g, l), Seed: seed})
+func newBSPg(p, g, l int, seed uint64, obs engine.Observer) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPg(g, l), Seed: seed, Observer: obs})
 }
 
-func newBSPmL(p, m, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPmLinear(m, l), Seed: seed})
+func newBSPmL(p, m, l int, seed uint64, obs engine.Observer) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPmLinear(m, l), Seed: seed, Observer: obs})
 }
 
-func newBSPmExp(p, m, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: seed})
+func newBSPmExp(p, m, l int, seed uint64, obs engine.Observer) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: seed, Observer: obs})
 }
 
-func newQSMg(p, mem, g int, seed uint64) *qsm.Machine {
-	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: model.QSMg(g), Seed: seed})
+func newQSMg(p, mem, g int, seed uint64, obs engine.Observer) *qsm.Machine {
+	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: model.QSMg(g), Seed: seed, Observer: obs})
 }
 
-func newQSMmL(p, mem, m int, seed uint64) *qsm.Machine {
+func newQSMmL(p, mem, m int, seed uint64, obs engine.Observer) *qsm.Machine {
 	c := model.QSMm(m)
 	c.Penalty = model.LinearPenalty
-	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: c, Seed: seed})
+	return qsm.New(qsm.Config{P: p, Mem: mem, Cost: c, Seed: seed, Observer: obs})
 }
 
 // table1Params is the shared schema shape of the five Table 1 rows: the
@@ -101,9 +102,9 @@ func runOneToAll(rec *Recorder) {
 			vals[i] = int64(i)
 		}
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg.Seed, cfg.Observer)
 		collective.OneToAllBSP(lb, 0, vals)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg.Seed, cfg.Observer)
 		collective.OneToAllBSP(gb, 0, vals)
 		predL := lower.OneToAllBSPg(p, g, l)
 		predG := lower.OneToAllBSPm(p, l)
@@ -111,9 +112,9 @@ func runOneToAll(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg.Seed)
+		lq := newQSMg(p, 2*p, g, cfg.Seed, cfg.Observer)
 		collective.OneToAllQSM(lq, 0, vals)
-		gq := newQSMmL(p, 2*p, m, cfg.Seed)
+		gq := newQSMmL(p, 2*p, m, cfg.Seed, cfg.Observer)
 		collective.OneToAllQSM(gq, 0, vals)
 		t.Row(p, "QSM(g)", lq.Time(), lower.OneToAllQSMg(p, g),
 			lq.Time()/lower.OneToAllQSMg(p, g), "")
@@ -132,9 +133,9 @@ func runBroadcastRow(rec *Recorder) {
 	for _, p := range ps {
 		m := max(p/g, 1)
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg.Seed, cfg.Observer)
 		collective.BroadcastBSP(lb, 0, 7)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg.Seed, cfg.Observer)
 		collective.BroadcastBSP(gb, 0, 7)
 		predL := lower.BroadcastBSPg(p, g, l)
 		predG := lower.BroadcastBSPm(p, m, l)
@@ -142,9 +143,9 @@ func runBroadcastRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg.Seed)
+		lq := newQSMg(p, 2*p, g, cfg.Seed, cfg.Observer)
 		collective.BroadcastQSM(lq, 0, 7)
-		gq := newQSMmL(p, 2*p, m, cfg.Seed)
+		gq := newQSMmL(p, 2*p, m, cfg.Seed, cfg.Observer)
 		collective.BroadcastQSM(gq, 0, 7)
 		t.Row(p, "QSM(g)", lq.Time(), lower.BroadcastQSMg(p, g),
 			lq.Time()/lower.BroadcastQSMg(p, g), "")
@@ -168,9 +169,9 @@ func runParityRow(rec *Recorder) {
 			bits[i] = int64(rng.Intn(2))
 		}
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg.Seed, cfg.Observer)
 		problems.ParityBSP(lb, bits)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg.Seed, cfg.Observer)
 		problems.ParityBSP(gb, bits)
 		predL := lower.ParityBSPg(p, g, l)
 		predG := lower.ParityBSPm(p, m, l)
@@ -178,9 +179,9 @@ func runParityRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 2*p, g, cfg.Seed)
+		lq := newQSMg(p, 2*p, g, cfg.Seed, cfg.Observer)
 		problems.ParityQSM(lq, bits)
-		gq := newQSMmL(p, 2*p, m, cfg.Seed)
+		gq := newQSMmL(p, 2*p, m, cfg.Seed, cfg.Observer)
 		problems.ParityQSM(gq, bits)
 		predQL := lower.ParityQSMgLB(p, g) // lower bound for the weak model
 		predQG := lower.ParityQSMm(p, m)
@@ -204,9 +205,9 @@ func runListRankRow(rec *Recorder) {
 		rng := xrand.New(cfg.Seed)
 		list := problems.RandomList(rng, p)
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg.Seed, cfg.Observer)
 		problems.ListRankContractBSP(lb, list)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg.Seed, cfg.Observer)
 		problems.ListRankContractBSP(gb, list)
 		predL := lower.ListRankLBg(p, g)
 		predG := lower.ListRankBSPm(p, m, l)
@@ -214,9 +215,9 @@ func runListRankRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, 3*p, g, cfg.Seed)
+		lq := newQSMg(p, 3*p, g, cfg.Seed, cfg.Observer)
 		problems.ListRankContractQSM(lq, list)
-		gq := newQSMmL(p, 3*p, m, cfg.Seed)
+		gq := newQSMmL(p, 3*p, m, cfg.Seed, cfg.Observer)
 		problems.ListRankContractQSM(gq, list)
 		predQG := lower.ListRankQSMm(p, m)
 		t.Row(p, "QSM(g)", lq.Time(), predL, lq.Time()/predL, "")
@@ -246,9 +247,9 @@ func runSortRow(rec *Recorder) {
 			keys[i] = int64(rng.Uint64() % 1000003)
 		}
 
-		lb := newBSPg(p, g, l, cfg.Seed)
+		lb := newBSPg(p, g, l, cfg.Seed, cfg.Observer)
 		problems.ColumnsortBSP(lb, keys, q)
-		gb := newBSPmL(p, m, l, cfg.Seed)
+		gb := newBSPmL(p, m, l, cfg.Seed, cfg.Observer)
 		problems.ColumnsortBSP(gb, keys, q)
 		predL := lower.SortLBg(p, g)
 		predG := lower.SortBSPm(p, m, l)
@@ -256,9 +257,9 @@ func runSortRow(rec *Recorder) {
 		t.Row(p, "BSP(m)", q, gb.Time(), predG, gb.Time()/predG,
 			ratioStr(lb.Time(), gb.Time()))
 
-		lq := newQSMg(p, p, g, cfg.Seed)
+		lq := newQSMg(p, p, g, cfg.Seed, cfg.Observer)
 		problems.ColumnsortQSM(lq, keys, q)
-		gq := newQSMmL(p, p, m, cfg.Seed)
+		gq := newQSMmL(p, p, m, cfg.Seed, cfg.Observer)
 		problems.ColumnsortQSM(gq, keys, q)
 		predQG := lower.SortQSMm(p, m)
 		t.Row(p, "QSM(g)", q, lq.Time(), predL, lq.Time()/predL, "")
@@ -276,6 +277,6 @@ func ratioStr(local, global float64) string {
 	return fmt.Sprintf("%.2fx", local/global)
 }
 
-func newBSPSelfSched(p, m, l int, seed uint64) *bsp.Machine {
-	return bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(m, l), Seed: seed})
+func newBSPSelfSched(p, m, l int, seed uint64, obs engine.Observer) *bsp.Machine {
+	return bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(m, l), Seed: seed, Observer: obs})
 }

@@ -66,10 +66,9 @@ func (m Mode) String() string {
 // Concurrent reports whether the mode allows concurrent access to a cell.
 func (m Mode) Concurrent() bool { return m != EREW }
 
-// Config configures a Machine. It is the low-level construction surface;
-// most callers should build machines from the cross-machine engine.Options
-// instead (see New). Config remains for the PRAM(m)-specific knobs Options
-// omits (ROM, CellBits).
+// Config configures a Machine. It is the construction surface nearly every
+// caller uses, and the only one for the PRAM(m)-specific knobs
+// engine.Options omits (ROM, CellBits; see New).
 type Config struct {
 	P    int  // processors
 	Mem  int  // shared-memory cells; for PRAM(m) this is m
@@ -82,7 +81,7 @@ type Config struct {
 	CellBits int
 	Seed     uint64
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
-	// after every step (Machine.Attach adds more).
+	// after every step.
 	Observer engine.Observer
 }
 
@@ -195,7 +194,7 @@ func newMachine(cfg Config) *Machine {
 		rom:      cfg.ROM,
 		mode:     cfg.Mode,
 		cellBits: bits,
-		core:     engine.NewCore[Stats]("pram", cfg.P, false),
+		core:     engine.NewCore[Stats]("pram", cfg.P, false, cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		rdCount:  make([]int, cfg.Mem),
 		wrCount:  make([]int, cfg.Mem),
@@ -203,7 +202,6 @@ func newMachine(cfg Config) *Machine {
 		lastVal:  make([]int64, cfg.Mem),
 		winner:   make([]int, cfg.Mem),
 	}
-	m.core.Attach(cfg.Observer)
 	m.ctx.m = m
 	m.body = func(i int) {
 		cols := m.cols
@@ -244,9 +242,6 @@ func (m *Machine) ROMReads() int { return m.romRead }
 
 // Last returns the Stats of the most recent step.
 func (m *Machine) Last() Stats { return m.core.Last() }
-
-// Attach registers an observer for this machine's steps.
-func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
 
 // Load reads shared memory directly, free of charge (tests and drivers).
 func (m *Machine) Load(addr int) int64 { return m.mem[addr] }

@@ -49,8 +49,8 @@ type Stats struct {
 }
 
 // Config configures a Machine with an explicit model.Cost. It is the
-// low-level construction surface; most callers should build machines from
-// the cross-machine engine.Options instead (see New).
+// construction surface nearly every caller uses; engine.Options builds the
+// same machine from plain numbers (see New).
 type Config struct {
 	P     int        // processors
 	Mem   int        // shared-memory words
@@ -58,7 +58,7 @@ type Config struct {
 	Seed  uint64
 	Trace bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
-	// after every phase (Machine.Attach adds more).
+	// after every phase.
 	Observer engine.Observer
 }
 
@@ -143,12 +143,11 @@ func newMachine(cfg Config) *Machine {
 		p:       cfg.P,
 		mem:     make([]int64, cfg.Mem),
 		cost:    cfg.Cost,
-		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Trace),
+		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Trace, cfg.Observer),
 		cols:    engine.NewCols(cfg.P, cfg.Seed),
 		rdCount: make([]int, cfg.Mem),
 		wrCount: make([]int, cfg.Mem),
 	}
-	m.core.Attach(cfg.Observer)
 	m.ctx.m = m
 	m.body = func(i int) {
 		cols := m.cols
@@ -182,9 +181,6 @@ func (m *Machine) Last() Stats { return m.core.Last() }
 
 // Trace returns retained per-phase Stats (nil unless Config.Trace).
 func (m *Machine) Trace() []Stats { return m.core.Trace() }
-
-// Attach registers an observer for this machine's phases.
-func (m *Machine) Attach(obs engine.Observer) { m.core.Attach(obs) }
 
 // ChargeTime adds simulated time outside any phase.
 func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }

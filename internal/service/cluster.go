@@ -150,21 +150,15 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	// If the origin asked for progress events, they flow back best-effort:
 	// an owner-side "started" plus sampled engine steps, all tagged with the
 	// origin's task index and this node's name.
-	emit := func(Event) {}
-	if req.WantEvents && req.Origin != "" && req.Job != "" {
-		var flush func()
-		emit, flush = s.remoteEmitter(r.Context(), req.Origin, req.Job, req.TaskIndex)
-		defer flush()
-	}
-	emit(Event{Type: EventStarted, Experiment: req.Experiment, Seed: req.Seed, Key: key, Node: s.cluster.Self()})
-	if s.opts.StepSample > 0 {
-		untag := engine.TagGoroutine(&stepTag{srv: s, emit: func(st engine.StepStats) {
-			emit(Event{Type: EventStep, Machine: st.Machine, Superstep: st.Index, Cost: st.Cost, Node: s.cluster.Self()})
-		}})
-		defer untag()
-	}
-
 	cfg := harness.Config{Seed: req.Seed, Params: req.Params}
+	if req.WantEvents && req.Origin != "" && req.Job != "" {
+		emit, flush := s.remoteEmitter(r.Context(), req.Origin, req.Job, req.TaskIndex)
+		defer flush()
+		emit(Event{Type: EventStarted, Experiment: req.Experiment, Seed: req.Seed, Key: key, Node: s.cluster.Self()})
+		cfg.Observer = s.stepObserver(func(st engine.StepStats) {
+			emit(Event{Type: EventStep, Machine: st.Machine, Superstep: st.Index, Cost: st.Cost, Node: s.cluster.Self()})
+		})
+	}
 	ctx := r.Context()
 	var lastErr error
 	for attempt := 1; attempt <= 1+s.opts.Retries; attempt++ {

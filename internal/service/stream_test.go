@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"parbw/internal/engine"
 	"parbw/internal/fault"
 	"parbw/internal/harness"
 	"parbw/internal/result"
@@ -449,5 +451,121 @@ func TestSSECancelledSweepStillTerminatesEveryCell(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("task %d got %d terminal events, want 1", idx, n)
 		}
+	}
+}
+
+// Single-node step attribution: with a live subscriber and StepSample 1,
+// every task of a job streams exactly its own run's supersteps, in commit
+// order, as step events under its own task index — tasks run concurrently,
+// and each run's observer reaches every machine its experiment builds. The
+// test's runner holds each step until the subscriber has taken it, so the
+// lossy step contract (coalescing, drops) never engages and the sequences
+// are exact.
+func TestStepEventsPerTaskSingleNode(t *testing.T) {
+	type cell struct {
+		exp  string
+		seed uint64
+	}
+	var mu sync.Mutex
+	caught := sync.NewCond(&mu)
+	seen := map[cell]int{} // step events the subscriber has taken, per cell
+	gate := make(chan struct{})
+	runner := func(id string, cfg harness.Config) (*result.Result, error) {
+		if id == "table1/onetoall" {
+			<-gate // the blocker job holds the dispatcher
+		}
+		if inner := cfg.Observer; inner != nil {
+			c, n := cell{id, cfg.Seed}, 0
+			cfg.Observer = engine.ObserverFunc(func(st engine.StepStats) {
+				inner.OnStep(st)
+				n++
+				mu.Lock()
+				for seen[c] < n {
+					caught.Wait()
+				}
+				mu.Unlock()
+			})
+		}
+		return DefaultRunner(id, cfg)
+	}
+	s := newTestServer(t, Options{Runner: runner, Workers: 4, StepSample: 1, Heartbeat: -1})
+
+	// Jobs run one at a time: while a blocker job holds the dispatcher, the
+	// job under test stays queued until its subscriber is in place, so every
+	// one of its tasks starts watched.
+	blocker, err := s.Submit(RunRequest{Experiments: []string{"table1/onetoall"}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := s.Submit(RunRequest{
+		Experiments: []string{"table1/broadcast", "sched/static", "sep/leader"},
+		Seeds:       []uint64{3, 4},
+		Quick:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		machine string
+		index   int
+		cost    float64
+	}
+	started := map[int]Event{}
+	got := map[int][]step{}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		job.WatchEvents(ctx, 0, func(ev Event) {
+			switch ev.Type {
+			case EventStarted:
+				started[ev.Task] = ev
+			case EventStep:
+				got[ev.Task] = append(got[ev.Task], step{ev.Machine, ev.Superstep, ev.Cost})
+				st := started[ev.Task]
+				mu.Lock()
+				seen[cell{st.Experiment, st.Seed}]++
+				caught.Broadcast()
+				mu.Unlock()
+			}
+		})
+	}()
+	for !job.Events().HasSubscribers() {
+		if ctx.Err() != nil {
+			t.Fatal("watcher never subscribed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if state := waitState(t, blocker); state != StatusDone {
+		t.Fatalf("blocker state %q, want done", state)
+	}
+	if state := waitState(t, job); state != StatusDone {
+		t.Fatalf("state %q, want done", state)
+	}
+	<-watchDone
+
+	if len(started) != 6 {
+		t.Fatalf("saw %d started tasks, want 6", len(started))
+	}
+	for idx, ev := range started {
+		e, _ := harness.ByID(ev.Experiment)
+		var want []step
+		e.Run(io.Discard, harness.Config{Seed: ev.Seed, Params: harness.QuickParams(),
+			Observer: engine.ObserverFunc(func(st engine.StepStats) {
+				want = append(want, step{st.Machine, st.Index, st.Cost})
+			})})
+		if len(want) == 0 {
+			t.Fatalf("%s seed %d commits no supersteps; pick an experiment that does", ev.Experiment, ev.Seed)
+		}
+		if !reflect.DeepEqual(got[idx], want) {
+			t.Errorf("task %d (%s seed %d): streamed %d steps, want its own run's %d",
+				idx, ev.Experiment, ev.Seed, len(got[idx]), len(want))
+		}
+	}
+	if st := s.Stats(); st.StreamEventsDropped != 0 || st.StreamEventsCoalesced != 0 {
+		t.Fatalf("stream dropped %d and coalesced %d events, want 0 and 0",
+			st.StreamEventsDropped, st.StreamEventsCoalesced)
 	}
 }
