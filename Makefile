@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-cpu determinism race chaos chaos-cluster stream-chaos bench bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
+.PHONY: all build vet test test-cpu determinism race chaos chaos-cluster stream-chaos bench bench-check bench-baseline bench-scale bench-tables bench-smoke dag-verify experiments verify export serve fuzz fuzz-smoke clean
 
 all: build test
 
@@ -70,6 +70,12 @@ stream-chaos:
 # or any model fingerprint drifts (CI runs this with -benchtime 100ms).
 bench:
 	$(GO) run ./cmd/bandsim bench -baseline BENCH_baseline.json -out -
+
+# The served-sweep benchmark (sweepbench/) is its own Go module, so the root
+# `go build ./...` never compiles it; its probes build machines through the
+# engine API, so vet and test it here (CI runs this).
+bench-check:
+	cd sweepbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the checked-in baseline (run on a quiet machine).
 bench-baseline:

@@ -67,10 +67,10 @@ func main() {
 	switch args[0] {
 	case "trace":
 		if len(args) < 2 {
-			fmt.Fprintln(os.Stderr, "bandsim: trace needs a target (broadcast|prefix|unbalanced|listrank|sort, or any experiment id)")
+			fmt.Fprintf(os.Stderr, "bandsim: trace needs a target (%s, or any experiment id)\n", strings.Join(traceTargetNames(), "|"))
 			os.Exit(2)
 		}
-		if err := runTrace(os.Stdout, args[1], *seed, *csv); err != nil {
+		if err := runTrace(os.Stdout, args[1], *seed, sets, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, "bandsim:", err)
 			os.Exit(1)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 func TestRunTraceTargets(t *testing.T) {
 	for name := range traceTargets {
 		var buf bytes.Buffer
-		if err := runTrace(&buf, name, 1, false); err != nil {
+		if err := runTrace(&buf, name, 1, nil, false); err != nil {
 			t.Fatalf("trace %s: %v", name, err)
 		}
 		out := buf.String()
@@ -25,7 +26,7 @@ func TestRunTraceTargets(t *testing.T) {
 
 func TestRunTraceCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTrace(&buf, "broadcast", 1, true); err != nil {
+	if err := runTrace(&buf, "broadcast", 1, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "superstep,") {
@@ -35,7 +36,7 @@ func TestRunTraceCSV(t *testing.T) {
 
 func TestRunTraceUnknown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTrace(&buf, "nope", 1, false); err == nil {
+	if err := runTrace(&buf, "nope", 1, nil, false); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -44,7 +45,7 @@ func TestRunTraceUnknown(t *testing.T) {
 // records every superstep of every machine the experiment drives.
 func TestRunTraceExperimentID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runTrace(&buf, "table1/broadcast", 1, false); err != nil {
+	if err := runTrace(&buf, "table1/broadcast", 1, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -66,19 +67,48 @@ func TestRunTraceExperimentID(t *testing.T) {
 // main exits non-zero.
 func TestRunTraceUnknownSuggests(t *testing.T) {
 	var buf bytes.Buffer
-	err := runTrace(&buf, "brodcast", 1, false)
+	err := runTrace(&buf, "brodcast", 1, nil, false)
 	if err == nil {
 		t.Fatal("mistyped target accepted")
 	}
 	if !strings.Contains(err.Error(), "did you mean") || !strings.Contains(err.Error(), "broadcast") {
 		t.Fatalf("missing suggestion: %v", err)
 	}
-	err = runTrace(&buf, "table1/brodcast", 1, false)
+	err = runTrace(&buf, "table1/brodcast", 1, nil, false)
 	if err == nil {
 		t.Fatal("mistyped experiment id accepted")
 	}
 	if !strings.Contains(err.Error(), "table1/broadcast") {
 		t.Fatalf("missing registry suggestion: %v", err)
+	}
+}
+
+// -set reaches an experiment trace through the same validation `bandsim
+// run` applies: a valid assignment changes the traced sweep, an unknown
+// name is an error, and an algorithm target, which has no parameters,
+// rejects any assignment.
+func TestRunTraceSetParams(t *testing.T) {
+	var def, set bytes.Buffer
+	if err := runTrace(&def, "table1/broadcast", 1, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := runTrace(&set, "table1/broadcast", 1, map[string]string{"p": "64"}, true); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(set.String(), "\n") >= strings.Count(def.String(), "\n") {
+		t.Fatalf("-set p=64 did not narrow the traced sweep:\n%s", set.String())
+	}
+	var buf bytes.Buffer
+	err := runTrace(&buf, "table1/broadcast", 1, map[string]string{"bogus": "1"}, false)
+	var unknown *harness.UnknownParamError
+	if !errors.As(err, &unknown) {
+		t.Fatalf("unknown parameter: err = %v, want an UnknownParamError", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected trace printed output:\n%s", buf.String())
+	}
+	if err := runTrace(&buf, "broadcast", 1, map[string]string{"p": "64"}, false); err == nil {
+		t.Fatal("-set on an algorithm target accepted")
 	}
 }
 

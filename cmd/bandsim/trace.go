@@ -3,7 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"parbw/internal/bsp"
@@ -18,7 +18,7 @@ import (
 )
 
 // traceTargets maps the classic `bandsim trace <name>` algorithm targets to
-// drivers executed on a traced BSP(m) machine (p=256, m=32, L=4, exponential
+// drivers executed on a BSP(m) machine (p=256, m=32, L=4, exponential
 // penalty). Any registered experiment id is also a valid trace target: it is
 // run with a recording harness.Config.Observer, which every machine the
 // experiment constructs reports its supersteps to.
@@ -50,90 +50,69 @@ var traceTargets = map[string]func(m *bsp.Machine, seed uint64){
 	},
 }
 
-// traceTargetNames returns the legacy algorithm target names, sorted.
+// traceTargetNames returns the algorithm target names, sorted.
 func traceTargetNames() []string {
 	names := make([]string, 0, len(traceTargets))
 	for n := range traceTargets {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
 // unknownTraceTargetError formats the failure for a mistyped trace target
-// with closest-match suggestions drawn from both the legacy algorithm names
-// and the experiment registry, mirroring `bandsim run`'s behavior.
+// with closest-match suggestions drawn from both the algorithm names and the
+// experiment registry, mirroring `bandsim run`'s behavior.
 func unknownTraceTargetError(name string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "unknown trace target %q", name)
-	var sug []string
-	q := strings.ToLower(strings.TrimSpace(name))
-	for _, n := range traceTargetNames() {
-		common := 0
-		for common < len(n) && common < len(q) && n[common] == q[common] {
-			common++
-		}
-		if q != "" && (strings.Contains(n, q) || common >= 3) {
-			sug = append(sug, n)
-		}
+	msg := fmt.Sprintf("unknown trace target %q", name)
+	if sug := append(harness.SuggestFrom(name, traceTargetNames()), harness.Suggest(name)...); len(sug) > 0 {
+		msg += "\ndid you mean:\n  " + strings.Join(sug, "\n  ")
 	}
-	sug = append(sug, harness.Suggest(name)...)
-	if len(sug) > 0 {
-		b.WriteString("\ndid you mean:\n")
-		for _, s := range sug {
-			fmt.Fprintf(&b, "  %s\n", s)
-		}
-		b.WriteString("targets are the algorithm names ")
-		fmt.Fprintf(&b, "%v or any experiment id ('bandsim list')", traceTargetNames())
-	} else {
-		fmt.Fprintf(&b, "\ntargets are the algorithm names %v or any experiment id ('bandsim list')", traceTargetNames())
-	}
-	return fmt.Errorf("%s", b.String())
+	return fmt.Errorf("%s\ntargets are the algorithm names %v or any experiment id ('bandsim list')", msg, traceTargetNames())
 }
 
 // runTrace executes the named target and prints a per-superstep timeline:
 // work, h, injection steps, max per-step load, overloads, c_m and the
-// superstep's charged cost. A legacy algorithm name runs on a dedicated
-// traced BSP(m) machine; an experiment id runs the experiment with a run
-// observer that each of its machines is built with, so the timeline covers
-// every machine (BSP, QSM, PRAM) the experiment drives, in commit order.
-func runTrace(w io.Writer, name string, seed uint64, csv bool) error {
-	if fn, ok := traceTargets[name]; ok {
-		m := bsp.New(bsp.Config{P: 256, Cost: model.BSPm(32, 4), Seed: seed, Trace: true})
-		fn(m, seed)
-		t := tablefmt.New(fmt.Sprintf("superstep timeline: %s (p=256, m=32, L=4)", name),
-			"superstep", "work", "h", "msgs", "steps", "maxload", "overloads", "c_m", "cost", "cum time")
-		cum := 0.0
-		for i, st := range m.Trace() {
-			cum += st.Cost
-			t.Row(i, st.W, st.H, st.N, st.Steps, st.MaxSlot, st.Overload, st.CM, st.Cost, cum)
-		}
-		if csv {
-			fmt.Fprint(w, t.CSV())
-		} else {
-			fmt.Fprintln(w, t.String())
-		}
-		fmt.Fprintf(w, "total simulated time: %.1f over %d supersteps\n", m.Time(), m.Supersteps())
-		return nil
-	}
-	if e, ok := harness.ByID(name); ok {
-		return traceExperiment(w, e, seed, csv)
-	}
-	return unknownTraceTargetError(name)
-}
-
-// traceExperiment runs one registered experiment with a recording observer
-// attached and prints the combined timeline of every machine it drove.
-func traceExperiment(w io.Writer, e harness.Experiment, seed uint64, csv bool) error {
+// superstep's charged cost. An algorithm name runs on a dedicated BSP(m)
+// machine and takes no parameters. An experiment id runs under the quick
+// preset overlaid with sets, validated as `bandsim run` validates them, with
+// a run observer that each of its machines is built with, so the timeline
+// covers every machine (BSP, QSM, PRAM) the experiment drives, in commit
+// order.
+func runTrace(w io.Writer, name string, seed uint64, sets map[string]string, csv bool) error {
 	var steps []engine.StepStats
 	obs := engine.ObserverFunc(func(st engine.StepStats) {
 		steps = append(steps, st)
 	})
-	cfg := harness.Config{Seed: seed, Params: harness.QuickParams(), Observer: obs}
-	e.Run(io.Discard, cfg)
+	if fn, ok := traceTargets[name]; ok {
+		if len(sets) > 0 {
+			return fmt.Errorf("trace target %q is an algorithm and takes no -set parameters; -set applies to experiment ids", name)
+		}
+		fn(bsp.New(bsp.Config{P: 256, Cost: model.BSPm(32, 4), Seed: seed, Observer: obs}), seed)
+		printTimeline(w, fmt.Sprintf("superstep timeline: %s (p=256, m=32, L=4)", name), steps, "supersteps", csv)
+		return nil
+	}
+	e, ok := harness.ByID(name)
+	if !ok {
+		return unknownTraceTargetError(name)
+	}
+	params := harness.QuickParams()
+	for k, v := range sets {
+		params[k] = v
+	}
+	if _, err := e.Resolve(params); err != nil {
+		return err
+	}
+	e.Run(io.Discard, harness.Config{Seed: seed, Params: params, Observer: obs})
+	printTimeline(w, fmt.Sprintf("superstep timeline: %s (quick, seed %d)", e.ID, seed), steps, "machine steps", csv)
+	return nil
+}
 
-	t := tablefmt.New(fmt.Sprintf("superstep timeline: %s (quick, seed %d)", e.ID, seed),
-		"#", "machine", "step", "work", "h", "msgs", "steps", "maxload", "overloads", "c_m", "cost", "cum time")
+// printTimeline prints recorded steps one row each, in commit order, with the
+// running simulated time, then a total line counting the steps as unit.
+func printTimeline(w io.Writer, title string, steps []engine.StepStats, unit string, csv bool) {
+	t := tablefmt.New(title,
+		"superstep", "machine", "step", "work", "h", "msgs", "steps", "maxload", "overloads", "c_m", "cost", "cum time")
 	cum := 0.0
 	for i, st := range steps {
 		cum += st.Cost
@@ -144,6 +123,5 @@ func traceExperiment(w io.Writer, e harness.Experiment, seed uint64, csv bool) e
 	} else {
 		fmt.Fprintln(w, t.String())
 	}
-	fmt.Fprintf(w, "total simulated time: %.1f over %d machine steps\n", cum, len(steps))
-	return nil
+	fmt.Fprintf(w, "total simulated time: %.1f over %d %s\n", cum, len(steps), unit)
 }

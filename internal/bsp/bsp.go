@@ -20,10 +20,10 @@
 // Non-receipt of messages is observable (an empty inbox is information),
 // which the ternary broadcast of the paper's Section 4.2 exploits.
 //
-// The superstep loop itself — context lifecycle, the per-processor program
-// loop, clock and trace commit, observer fan-out — lives in internal/engine;
-// this package contributes the BSP-specific merge strategy (schedule
-// validation, message routing, cost accounting).
+// The superstep commit — clock, step numbering, observer — lives in
+// internal/engine; this package runs the per-processor program loop and
+// contributes the BSP-specific merge strategy (schedule validation, message
+// routing, cost accounting).
 package bsp
 
 import (
@@ -82,8 +82,6 @@ type Config struct {
 	P    int        // number of simulated processors (>= 1)
 	Cost model.Cost // cost model; must be a BSP kind
 	Seed uint64     // experiment seed; all processor RNGs derive from it
-	// Trace, if true, retains the Stats of every superstep (Machine.Trace).
-	Trace bool
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every superstep.
 	Observer engine.Observer
@@ -102,7 +100,7 @@ type Config struct {
 type Machine struct {
 	p    int
 	cost model.Cost
-	core *engine.Core[Stats]
+	core *engine.Core
 	cols *engine.Cols
 
 	// arena is the send arena, recycled across supersteps: every processor
@@ -122,13 +120,6 @@ type Machine struct {
 	spareOff []int32
 	slabs    [2]engine.Slab[Msg]
 	cur      int
-
-	// fn is the program of the superstep in flight; body and mergeFn are the
-	// closures handed to the engine core, built once so that Superstep itself
-	// is allocation-free.
-	fn      func(c *Ctx)
-	body    func(i int)
-	mergeFn func() (Stats, engine.StepStats)
 }
 
 // sends returns processor i's queued run inside the send arena.
@@ -150,7 +141,6 @@ func New[C Config | engine.Options](cfg C) *Machine {
 			P:        o.Procs,
 			Cost:     o.BSPCost(),
 			Seed:     o.Seed,
-			Trace:    o.Trace,
 			Observer: o.Observer,
 		})
 	}
@@ -167,21 +157,12 @@ func newMachine(cfg Config) *Machine {
 	m := &Machine{
 		p:        cfg.P,
 		cost:     cfg.Cost,
-		core:     engine.NewCore[Stats]("bsp", cfg.P, cfg.Trace, cfg.Observer),
+		core:     engine.NewCore("bsp", cfg.P, cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		inOff:    make([]int32, cfg.P+1),
 		spareOff: make([]int32, cfg.P+1),
 	}
 	m.ctx.m = m
-	m.body = func(i int) {
-		cols := m.cols
-		cols.ResetProc(i)
-		cols.Off[i] = int32(len(m.arena))
-		cols.Cnt[i] = 0
-		m.ctx.id = i
-		m.fn(&m.ctx)
-	}
-	m.mergeFn = m.merge
 	return m
 }
 
@@ -199,12 +180,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Supersteps returns the number of supersteps executed.
 func (m *Machine) Supersteps() int { return m.core.Steps() }
-
-// Last returns the Stats of the most recent superstep.
-func (m *Machine) Last() Stats { return m.core.Last() }
-
-// Trace returns the retained per-superstep Stats (nil unless Config.Trace).
-func (m *Machine) Trace() []Stats { return m.core.Trace() }
 
 // ChargeTime adds t units of simulated time outside any superstep. It is
 // used by protocols whose analysis charges fixed terms (for example a known
@@ -308,14 +283,22 @@ func (c *Ctx) badDst(dst int) {
 	panic(fmt.Sprintf("bsp: proc %d send to invalid dst %d (p=%d)", c.id, dst, c.m.p))
 }
 
-// Superstep executes fn for every processor, then synchronizes: messages are
-// delivered, the superstep is costed under the machine's model, and the
-// machine clock advances. It returns the superstep's Stats.
+// Superstep executes fn for every processor, one after another in id order
+// (a panicking program surfaces directly to the caller), then synchronizes:
+// messages are delivered, the superstep is costed under the machine's model,
+// and the machine clock advances. It returns the superstep's Stats.
 func (m *Machine) Superstep(fn func(c *Ctx)) Stats {
-	m.fn = fn
 	m.arena = m.arena[:0]
-	st := m.core.Step(m.body, m.mergeFn)
-	m.fn = nil
+	cols := m.cols
+	for i := 0; i < m.p; i++ {
+		cols.ResetProc(i)
+		cols.Off[i] = int32(len(m.arena))
+		cols.Cnt[i] = 0
+		m.ctx.id = i
+		fn(&m.ctx)
+	}
+	st, view := m.merge()
+	m.core.Commit(view)
 	return st
 }
 
@@ -500,7 +483,7 @@ func (m *Machine) Deliver(msgs []Msg) {
 	m.inOff = newOff
 }
 
-// Reset clears inboxes, time and trace, preserving processors and RNG state.
+// Reset clears inboxes and time, preserving processors and RNG state.
 func (m *Machine) Reset() {
 	m.inbox = nil
 	for i := range m.inOff {

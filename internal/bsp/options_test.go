@@ -1,6 +1,8 @@
 package bsp
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"parbw/internal/engine"
@@ -9,7 +11,7 @@ import (
 
 // A machine built from engine.Options must behave identically to one built
 // from the equivalent Config: same cost model, same RNG derivation, same
-// simulated time.
+// simulated time and the same observed sequence of steps.
 func TestNewFromOptionsEquivalent(t *testing.T) {
 	run := func(m *Machine) model.Time {
 		p := m.P()
@@ -33,7 +35,10 @@ func TestNewFromOptionsEquivalent(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := New(tc.cfg), New(tc.opts)
+			var sa, sb []engine.StepStats
+			cfg, opts := tc.cfg, tc.opts
+			cfg.Observer, opts.Observer = recorder(&sa), recorder(&sb)
+			a, b := New(cfg), New(opts)
 			if a.Cost().Kind != b.Cost().Kind {
 				t.Fatalf("cost kinds differ: %v vs %v", a.Cost().Kind, b.Cost().Kind)
 			}
@@ -41,9 +46,18 @@ func TestNewFromOptionsEquivalent(t *testing.T) {
 			if ta != tb {
 				t.Fatalf("model time differs: Config %g vs Options %g", ta, tb)
 			}
-			if a.Last() != b.Last() {
-				t.Fatalf("final stats differ: %+v vs %+v", a.Last(), b.Last())
+			if len(sa) != 3 || !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("observed steps differ:\n%+v\nvs\n%+v", sa, sb)
 			}
 		})
 	}
+}
+
+// recorder returns an observer appending every committed step to *into,
+// with its histogram copied out of the engine's recycled buffer.
+func recorder(into *[]engine.StepStats) engine.Observer {
+	return engine.ObserverFunc(func(st engine.StepStats) {
+		st.Hist = slices.Clone(st.Hist)
+		*into = append(*into, st)
+	})
 }

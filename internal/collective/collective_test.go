@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"parbw/internal/bsp"
+	"parbw/internal/engine"
 	"parbw/internal/model"
 	"parbw/internal/qsm"
 )
@@ -15,6 +16,16 @@ func bspMachine(p int, cost model.Cost) *bsp.Machine {
 
 func qsmMachine(p int, cost model.Cost) *qsm.Machine {
 	return qsm.New(qsm.Config{P: p, Mem: 2 * p, Cost: cost, Seed: 7})
+}
+
+// noOverload returns an observer that fails t on any committed step whose
+// per-step load exceeded the machine's bandwidth m.
+func noOverload(t *testing.T) engine.Observer {
+	return engine.ObserverFunc(func(st engine.StepStats) {
+		if st.Overload != 0 {
+			t.Fatalf("%s step %d overloaded: %+v", st.Machine, st.Index, st)
+		}
+	})
 }
 
 func qsmmLin(m int) model.Cost {
@@ -42,14 +53,16 @@ func TestBroadcastBSPAllModels(t *testing.T) {
 	for _, cost := range bspCosts {
 		for _, p := range []int{1, 2, 3, 16, 33, 64} {
 			for _, root := range []int{0, p / 2, p - 1} {
-				m := bspMachine(p, cost)
+				overloads := 0
+				m := bsp.New(bsp.Config{P: p, Cost: cost, Seed: 7,
+					Observer: engine.ObserverFunc(func(st engine.StepStats) { overloads += st.Overload })})
 				out := BroadcastBSP(m, root, 42)
 				for i, v := range out {
 					if v != 42 {
 						t.Fatalf("%v p=%d root=%d: proc %d got %d", cost.Kind, p, root, i, v)
 					}
 				}
-				if cost.Global() && m.Last().Overload > 0 {
+				if cost.Global() && overloads > 0 {
 					t.Fatalf("%v p=%d: broadcast overloaded the network", cost.Kind, p)
 				}
 			}
@@ -61,13 +74,7 @@ func TestBroadcastBSPNoOverloadEver(t *testing.T) {
 	// Under the exponential penalty, a correct BSP(m) broadcast must never
 	// exceed m injections in a step, or time explodes.
 	cost := model.BSPm(4, 4)
-	m := bsp.New(bsp.Config{P: 128, Cost: cost, Seed: 3, Trace: true})
-	BroadcastBSP(m, 5, 9)
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("superstep %d overloaded: %+v", i, st)
-		}
-	}
+	BroadcastBSP(bsp.New(bsp.Config{P: 128, Cost: cost, Seed: 3, Observer: noOverload(t)}), 5, 9)
 }
 
 func TestBroadcastBSPSeparation(t *testing.T) {
@@ -230,17 +237,12 @@ func TestPrefixSumBSPProperty(t *testing.T) {
 }
 
 func TestPrefixNoOverload(t *testing.T) {
-	m := bsp.New(bsp.Config{P: 200, Cost: model.BSPm(8, 4), Seed: 1, Trace: true})
+	m := bsp.New(bsp.Config{P: 200, Cost: model.BSPm(8, 4), Seed: 1, Observer: noOverload(t)})
 	vals := make([]int64, 200)
 	for i := range vals {
 		vals[i] = 1
 	}
 	PrefixSumBSP(m, vals, Sum, 0)
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("superstep %d overloaded: %+v", i, st)
-		}
-	}
 }
 
 func TestBroadcastQSMAllModels(t *testing.T) {
@@ -260,13 +262,7 @@ func TestBroadcastQSMAllModels(t *testing.T) {
 }
 
 func TestBroadcastQSMNoOverload(t *testing.T) {
-	m := qsm.New(qsm.Config{P: 100, Mem: 200, Cost: model.QSMm(4), Seed: 2, Trace: true})
-	BroadcastQSM(m, 0, 5)
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("phase %d overloaded: %+v", i, st)
-		}
-	}
+	BroadcastQSM(qsm.New(qsm.Config{P: 100, Mem: 200, Cost: model.QSMm(4), Seed: 2, Observer: noOverload(t)}), 0, 5)
 }
 
 func TestBroadcastQSMSeparation(t *testing.T) {
@@ -548,13 +544,7 @@ func TestBroadcastVecPipelines(t *testing.T) {
 
 func TestBroadcastVecNoOverload(t *testing.T) {
 	p, k := 128, 16
-	m := bsp.New(bsp.Config{P: p, Cost: model.BSPm(8, 4), Seed: 1, Trace: true})
-	BroadcastVecBSP(m, 0, make([]int64, k))
-	for i, st := range m.Trace() {
-		if st.Overload != 0 {
-			t.Fatalf("superstep %d overloaded: %+v", i, st)
-		}
-	}
+	BroadcastVecBSP(bsp.New(bsp.Config{P: p, Cost: model.BSPm(8, 4), Seed: 1, Observer: noOverload(t)}), 0, make([]int64, k))
 }
 
 func TestBroadcastVecEmpty(t *testing.T) {

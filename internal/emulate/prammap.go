@@ -52,8 +52,9 @@ type MapStats struct {
 	Steps    int // PRAM steps executed
 	Work     int // total virtual shared accesses (the PRAM work charged)
 	QSMTime  model.Time
-	MaxSlot  int
-	Overload int
+	MaxSlot  int // maximum per-step request count over the mapped phases
+	Overload int // overloaded request steps, summed over the mapped phases
+	Kappa    int // maximum per-location contention κ over the mapped phases
 }
 
 // RunPRAMOnQSM executes prog on the QSM machine, using the machine's first
@@ -73,8 +74,6 @@ func RunPRAMOnQSM(m *qsm.Machine, prog VirtProgram) MapStats {
 		sims = k
 	}
 	var st MapStats
-	maxSlot := 0
-	overload := 0
 	nv := prog.VirtProcs
 	for s := 0; s < prog.Steps; s++ {
 		ss := s
@@ -101,10 +100,7 @@ func RunPRAMOnQSM(m *qsm.Machine, prog VirtProgram) MapStats {
 				}
 			}
 		})
-		if ph.MaxSlot > maxSlot {
-			maxSlot = ph.MaxSlot
-		}
-		overload += ph.Overload
+		st.addPhase(ph)
 		// Compute continuations (driver-side) and issue writes.
 		writes := make([]VirtWrite, nv)
 		doWrite := make([]bool, nv)
@@ -135,16 +131,18 @@ func RunPRAMOnQSM(m *qsm.Machine, prog VirtProgram) MapStats {
 				}
 			}
 		})
-		if ph.MaxSlot > maxSlot {
-			maxSlot = ph.MaxSlot
-		}
-		overload += ph.Overload
+		st.addPhase(ph)
 		st.Steps++
 	}
 	st.QSMTime = m.Time()
-	st.MaxSlot = maxSlot
-	st.Overload = overload
 	return st
+}
+
+// addPhase folds one mapped phase's load and contention into st.
+func (st *MapStats) addPhase(ph qsm.Stats) {
+	st.MaxSlot = max(st.MaxSlot, ph.MaxSlot)
+	st.Overload += ph.Overload
+	st.Kappa = max(st.Kappa, ph.Kappa)
 }
 
 // PrefixDoublingSum returns the classic EREW prefix-doubling summation as a

@@ -16,8 +16,8 @@ import "parbw/internal/xrand"
 
 // Cols holds the per-processor engine state shared by every machine as
 // parallel flat arrays indexed by processor id. A processor's counters are
-// reset by the machine's body just before its program runs each superstep,
-// so resets never allocate.
+// reset by the machine's processor loop just before its program runs each
+// superstep, so resets never allocate.
 //
 // The RNG column is lazy: constructing a Cols records only the root seed
 // state, and a processor's source is derived on its first RNG call —
@@ -51,8 +51,8 @@ func NewCols(p int, seed uint64) *Cols {
 }
 
 // ResetProc zeroes processor i's per-step counters for a new superstep. It
-// is called from the machine's body before the processor's program runs.
-// Off and Cnt are queue bookkeeping the machine sets itself (Off is the
+// is called from the machine's processor loop before the processor's program
+// runs. Off and Cnt are queue bookkeeping the machine sets itself (Off is the
 // arena cursor at the moment the program starts, not zero).
 func (cs *Cols) ResetProc(i int) {
 	cs.Work[i] = 0

@@ -46,7 +46,7 @@ func TestColsResetProc(t *testing.T) {
 	if cs.Work[2] != 0 || cs.AutoSlot[2] != 0 || cs.RecvUsed[2] {
 		t.Fatalf("ResetProc left counters: %+v", cs)
 	}
-	// Off/Cnt are queue bookkeeping owned by the machine body, not ResetProc.
+	// Off/Cnt are queue bookkeeping owned by the machine's processor loop, not ResetProc.
 	if cs.Off[2] != 7 || cs.Cnt[2] != 5 {
 		t.Fatal("ResetProc must not touch Off/Cnt")
 	}

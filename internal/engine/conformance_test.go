@@ -194,31 +194,32 @@ func TestConformanceCostMonotoneInOverload(t *testing.T) {
 }
 
 // Observer contract: a machine's observer fires once per committed step, in
-// superstep order, with the stats the machine itself retains. One observer
+// superstep order, with the stats the step call itself returns. One observer
 // handed to two machines — what a harness run does with Config.Observer —
 // sees both machines' steps interleaved in commit order, each under its own
 // machine label and index.
 func TestObserverCallbackOrdering(t *testing.T) {
 	var events []engine.StepStats
 	obs := engine.ObserverFunc(func(st engine.StepStats) { events = append(events, st) })
-	b := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(4, 1), Seed: 1, Trace: true, Observer: obs})
-	q := qsm.New(qsm.Config{P: 8, Mem: 8, Cost: model.QSMm(4), Seed: 1, Trace: true, Observer: obs})
+	b := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(4, 1), Seed: 1, Observer: obs})
+	q := qsm.New(qsm.Config{P: 8, Mem: 8, Cost: model.QSMm(4), Seed: 1, Observer: obs})
 	bare := bsp.New(bsp.Config{P: 8, Cost: model.BSPm(4, 1), Seed: 1})
 
 	const steps = 5
+	var bt []bsp.Stats
+	var qt []qsm.Stats
 	for s := 0; s < steps; s++ {
-		b.Superstep(func(c *bsp.Ctx) {
+		bt = append(bt, b.Superstep(func(c *bsp.Ctx) {
 			c.Charge(s + 1)
 			c.Send((c.ID()+1)%8, 1, int64(s))
-		})
-		q.Phase(func(c *qsm.Ctx) { c.Write(c.ID(), int64(s)) })
+		}))
+		qt = append(qt, q.Phase(func(c *qsm.Ctx) { c.Write(c.ID(), int64(s)) }))
 		bare.Superstep(func(c *bsp.Ctx) { c.Send((c.ID()+1)%8, 1, 0) })
 	}
 
 	if len(events) != 2*steps {
 		t.Fatalf("saw %d events, want %d (the unobserved machine must not report)", len(events), 2*steps)
 	}
-	bt, qt := b.Trace(), q.Trace()
 	for s := 0; s < steps; s++ {
 		be, qe := events[2*s], events[2*s+1]
 		if be.Machine != "bsp" || be.Index != s || qe.Machine != "qsm" || qe.Index != s {
@@ -232,4 +233,30 @@ func TestObserverCallbackOrdering(t *testing.T) {
 			t.Fatalf("step %d: qsm observer stats %+v diverge from trace %+v", s, qe, qt[s])
 		}
 	}
+}
+
+// Every machine runs each processor's program exactly once per step, in
+// ascending id order.
+func TestMachinesRunEveryProcessor(t *testing.T) {
+	const p = 100
+	check := func(name string, order []int) {
+		t.Helper()
+		if len(order) != p {
+			t.Fatalf("%s: %d program runs, want %d", name, len(order), p)
+		}
+		for i, id := range order {
+			if id != i {
+				t.Fatalf("%s: run %d was processor %d", name, i, id)
+			}
+		}
+	}
+	var order []int
+	bsp.New(bsp.Config{P: p, Cost: model.BSPg(1, 1), Seed: 1}).Superstep(func(c *bsp.Ctx) { order = append(order, c.ID()) })
+	check("bsp", order)
+	order = nil
+	qsm.New(qsm.Config{P: p, Mem: 1, Cost: model.QSMg(1), Seed: 1}).Phase(func(c *qsm.Ctx) { order = append(order, c.ID()) })
+	check("qsm", order)
+	order = nil
+	pram.New(pram.Config{P: p, Mem: 1, Seed: 1}).Step(func(c *pram.Ctx) { order = append(order, c.ID()) })
+	check("pram", order)
 }

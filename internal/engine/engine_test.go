@@ -1,23 +1,22 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
 
-// step drives one trivial superstep on c whose merge reports the given cost
-// and traffic.
-func step(c *Core[int], cost float64, n, maxSlot, overload int) {
-	c.Step(func(i int) {}, func() (int, StepStats) {
-		return c.Steps() + 1, StepStats{N: n, MaxSlot: maxSlot, Overload: overload, Cost: cost}
-	})
+// step commits one trivial superstep on c with the given cost and traffic.
+func step(c *Core, cost float64, n, maxSlot, overload int) {
+	c.Commit(StepStats{N: n, MaxSlot: maxSlot, Overload: overload, Cost: cost})
 }
 
+// The clock sums committed costs and ChargeTime, and the observer receives
+// the whole trace of committed steps, numbered from 0 again after
+// ResetClock.
 func TestCoreClockAndTrace(t *testing.T) {
-	c := NewCore[int]("test", 4, true, nil)
-	if c.P() != 4 || c.Label() != "test" {
-		t.Fatalf("P/Label = %d/%q", c.P(), c.Label())
-	}
+	var got []StepStats
+	c := NewCore("test", 4, ObserverFunc(func(st StepStats) { got = append(got, st) }))
 	step(c, 3, 1, 1, 0)
 	step(c, 5, 2, 1, 0)
 	if c.Time() != 8 {
@@ -26,44 +25,29 @@ func TestCoreClockAndTrace(t *testing.T) {
 	if c.Steps() != 2 {
 		t.Fatalf("Steps = %d, want 2", c.Steps())
 	}
-	if c.Last() != 2 {
-		t.Fatalf("Last = %d, want 2", c.Last())
+	want := []StepStats{
+		{Machine: "test", Index: 0, N: 1, MaxSlot: 1, Cost: 3},
+		{Machine: "test", Index: 1, N: 2, MaxSlot: 1, Cost: 5},
 	}
-	if got := c.Trace(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Trace = %v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("observed trace = %+v, want %+v", got, want)
 	}
 	c.ChargeTime(10)
 	if c.Time() != 18 {
 		t.Fatalf("Time after ChargeTime = %v", c.Time())
 	}
 	c.ResetClock()
-	if c.Time() != 0 || c.Steps() != 0 || c.Trace() != nil || len(c.Recent()) != 0 {
+	if c.Time() != 0 || c.Steps() != 0 {
 		t.Fatal("ResetClock did not clear state")
 	}
-}
-
-func TestCoreNoTraceByDefault(t *testing.T) {
-	c := NewCore[int]("test", 2, false, nil)
 	step(c, 1, 0, 0, 0)
-	if c.Trace() != nil {
-		t.Fatal("trace retained without keepTrace")
-	}
-}
-
-func TestCoreBodyRunsEveryProcessor(t *testing.T) {
-	const p = 100
-	c := NewCore[int]("test", p, false, nil)
-	hits := make([]int, p)
-	c.Step(func(i int) { hits[i]++ }, func() (int, StepStats) { return 0, StepStats{} })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("processor %d ran %d times", i, h)
-		}
+	if last := got[len(got)-1]; last.Index != 0 {
+		t.Fatalf("first step after ResetClock has index %d", last.Index)
 	}
 }
 
 func TestHistRecycled(t *testing.T) {
-	c := NewCore[int]("test", 2, false, nil)
+	c := NewCore("test", 2, nil)
 	h1 := c.Hist(8)
 	if len(h1) != 8 {
 		t.Fatalf("len = %d", len(h1))
@@ -86,7 +70,7 @@ func TestHistRecycled(t *testing.T) {
 }
 
 func TestLedgerRecycled(t *testing.T) {
-	c := NewCore[int]("test", 5, false, nil)
+	c := NewCore("test", 5, nil)
 	l1 := c.Ledger()
 	if len(l1) != 5 {
 		t.Fatalf("len = %d", len(l1))
@@ -101,64 +85,9 @@ func TestLedgerRecycled(t *testing.T) {
 	}
 }
 
-func TestRecentRing(t *testing.T) {
-	c := NewCore[int]("test", 1, false, nil)
-	for i := 0; i < ringCap+10; i++ {
-		step(c, float64(i), 0, 0, 0)
-	}
-	rec := c.Recent()
-	if len(rec) != ringCap {
-		t.Fatalf("Recent returned %d entries, want %d", len(rec), ringCap)
-	}
-	// Oldest first; the last entry is the most recent step.
-	if rec[len(rec)-1].Index != ringCap+9 {
-		t.Fatalf("last ring entry index = %d", rec[len(rec)-1].Index)
-	}
-	for i := 1; i < len(rec); i++ {
-		if rec[i].Index != rec[i-1].Index+1 {
-			t.Fatalf("ring not in order at %d: %d then %d", i, rec[i-1].Index, rec[i].Index)
-		}
-		if rec[i].Hist != nil {
-			t.Fatal("ring entry retained a histogram alias")
-		}
-	}
-}
-
-// TestRecentAtRingBoundary pins Recent's behavior at the wraparound edge:
-// exactly ringCap committed steps must return all of them in order, and one
-// more must drop exactly the oldest.
-func TestRecentAtRingBoundary(t *testing.T) {
-	c := NewCore[int]("test", 1, false, nil)
-	for i := 0; i < ringCap; i++ {
-		step(c, float64(i), 0, 0, 0)
-	}
-	rec := c.Recent()
-	if len(rec) != ringCap {
-		t.Fatalf("at %d steps Recent returned %d entries", ringCap, len(rec))
-	}
-	if rec[0].Index != 0 || rec[ringCap-1].Index != ringCap-1 {
-		t.Fatalf("at %d steps Recent spans [%d, %d]", ringCap, rec[0].Index, rec[ringCap-1].Index)
-	}
-
-	step(c, 0, 0, 0, 0) // step ringCap+1 evicts exactly index 0
-	rec = c.Recent()
-	if len(rec) != ringCap {
-		t.Fatalf("at %d steps Recent returned %d entries", ringCap+1, len(rec))
-	}
-	if rec[0].Index != 1 || rec[ringCap-1].Index != ringCap {
-		t.Fatalf("at %d steps Recent spans [%d, %d], want [1, %d]",
-			ringCap+1, rec[0].Index, rec[ringCap-1].Index, ringCap)
-	}
-	for i := 1; i < len(rec); i++ {
-		if rec[i].Index != rec[i-1].Index+1 {
-			t.Fatalf("ring not in order at %d", i)
-		}
-	}
-}
-
 func TestObserverSeesCommittedSteps(t *testing.T) {
 	var got []StepStats
-	c := NewCore[int]("obs", 3, false, ObserverFunc(func(st StepStats) { got = append(got, st) }))
+	c := NewCore("obs", 3, ObserverFunc(func(st StepStats) { got = append(got, st) }))
 	step(c, 2, 5, 3, 1)
 	step(c, 4, 6, 2, 0)
 	if len(got) != 2 {
@@ -175,7 +104,7 @@ func TestObserverSeesCommittedSteps(t *testing.T) {
 }
 
 func TestAttachNilObserverIgnored(t *testing.T) {
-	c := NewCore[int]("test", 1, false, nil)
+	c := NewCore("test", 1, nil)
 	step(c, 1, 0, 0, 0) // must not panic
 }
 
@@ -184,9 +113,9 @@ func TestAttachNilObserverIgnored(t *testing.T) {
 // the observer.
 func TestObserverSeesOnlyItsMachine(t *testing.T) {
 	var a, b int
-	ca := NewCore[int]("a", 1, false, ObserverFunc(func(StepStats) { a++ }))
-	cb := NewCore[int]("b", 1, false, ObserverFunc(func(StepStats) { b++ }))
-	cn := NewCore[int]("none", 1, false, nil)
+	ca := NewCore("a", 1, ObserverFunc(func(StepStats) { a++ }))
+	cb := NewCore("b", 1, ObserverFunc(func(StepStats) { b++ }))
+	cn := NewCore("none", 1, nil)
 	step(ca, 1, 0, 0, 0)
 	step(cb, 1, 0, 0, 0)
 	step(cb, 1, 0, 0, 0)
@@ -208,7 +137,7 @@ func TestConcurrentMachinesObserveOwnSteps(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := NewCore[int]("test", 2, false, ObserverFunc(func(StepStats) { got[k]++ }))
+			c := NewCore("test", 2, ObserverFunc(func(StepStats) { got[k]++ }))
 			for i := 0; i < steps; i++ {
 				step(c, 1, 1, 1, 0)
 			}
@@ -225,7 +154,7 @@ func TestConcurrentMachinesObserveOwnSteps(t *testing.T) {
 // Notifying an observer keeps the commit path allocation-free.
 func TestObservedStepZeroAllocs(t *testing.T) {
 	n := 0
-	c := NewCore[int]("test", 2, false, ObserverFunc(func(StepStats) { n++ }))
+	c := NewCore("test", 2, ObserverFunc(func(StepStats) { n++ }))
 	step(c, 1, 0, 0, 0) // warm scratch
 	allocs := testing.AllocsPerRun(100, func() {
 		step(c, 1, 0, 0, 0)
@@ -240,7 +169,7 @@ func TestObservedStepZeroAllocs(t *testing.T) {
 
 func TestGlobalCountersAdvance(t *testing.T) {
 	before := GlobalCounters()
-	c := NewCore[int]("test", 2, false, nil)
+	c := NewCore("test", 2, nil)
 	step(c, 1, 10, 3, 2)
 	step(c, 1, 5, 1, 0)
 	after := GlobalCounters()

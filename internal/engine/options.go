@@ -33,8 +33,7 @@ type Options struct {
 	// BSP and QSM machines ignore it.
 	Variant string
 
-	Seed  uint64
-	Trace bool
+	Seed uint64
 	// Observer, if non-nil, receives a normalized StepStats callback after
 	// every superstep of the machine built from these options.
 	Observer Observer

@@ -65,7 +65,7 @@ func (s *Slab[T]) Cap() int { return cap(s.buf) }
 // from Ledger. The counting-sort router uses Ledger for per-destination
 // flit totals and Offsets for per-destination message counts that are then
 // prefix-summed in place into placement cursors. Valid until the next call.
-func (c *Core[S]) Offsets() []int {
+func (c *Core) Offsets() []int {
 	if c.offsets == nil {
 		c.offsets = make([]int, c.p)
 	}

@@ -1,13 +1,15 @@
 package pram
 
 import (
+	"reflect"
 	"testing"
 
 	"parbw/internal/engine"
 )
 
 // A machine built from engine.Options must behave identically to one built
-// from the equivalent Config; Variant names map onto the Mode constants.
+// from the equivalent Config — same simulated time, same observed sequence of
+// steps — and Variant names map onto the Mode constants.
 func TestNewFromOptionsEquivalent(t *testing.T) {
 	cases := []struct {
 		variant string
@@ -27,8 +29,11 @@ func TestNewFromOptionsEquivalent(t *testing.T) {
 		}
 	}
 
-	a := New(Config{P: 8, Mem: 16, Mode: QRQW, Seed: 3})
-	b := New(engine.Options{Procs: 8, Mem: 16, Variant: "QRQW", Seed: 3})
+	var sa, sb []engine.StepStats
+	a := New(Config{P: 8, Mem: 16, Mode: QRQW, Seed: 3,
+		Observer: engine.ObserverFunc(func(st engine.StepStats) { sa = append(sa, st) })})
+	b := New(engine.Options{Procs: 8, Mem: 16, Variant: "QRQW", Seed: 3,
+		Observer: engine.ObserverFunc(func(st engine.StepStats) { sb = append(sb, st) })})
 	for s := 0; s < 3; s++ {
 		body := func(c *Ctx) {
 			v := c.Read(c.RNG().Intn(8))
@@ -37,8 +42,8 @@ func TestNewFromOptionsEquivalent(t *testing.T) {
 		a.Step(body)
 		b.Step(body)
 	}
-	if a.Time() != b.Time() || a.Last() != b.Last() {
-		t.Fatalf("Config vs Options diverge: time %g/%g stats %+v/%+v", a.Time(), b.Time(), a.Last(), b.Last())
+	if a.Time() != b.Time() || len(sa) != 3 || !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("Config vs Options diverge: time %g/%g steps %+v/%+v", a.Time(), b.Time(), sa, sb)
 	}
 
 	defer func() {

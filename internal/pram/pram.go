@@ -14,10 +14,10 @@
 // any concurrent access, which is how the engine surfaces algorithmic model
 // violations.
 //
-// The lock-step loop itself — context lifecycle, the per-processor program
-// loop, clock commit, observer fan-out — lives in internal/engine; this
-// package contributes the PRAM-specific commit strategy (contention
-// accounting, write resolution, bit accounting).
+// The step commit — clock, step numbering, observer — lives in
+// internal/engine; this package runs the per-processor program loop and
+// contributes the PRAM-specific commit strategy (contention accounting,
+// write resolution, bit accounting).
 package pram
 
 import (
@@ -109,7 +109,7 @@ type Machine struct {
 	rom      []int64
 	mode     Mode
 	cellBits int
-	core     *engine.Core[Stats]
+	core     *engine.Core
 	cols     *engine.Cols
 
 	// arena is the access arena, recycled across steps: every processor
@@ -130,13 +130,6 @@ type Machine struct {
 	sawWrite         []bool
 	lastVal          []int64 // Common rule: previous writer's value per cell
 	winner           []int   // Priority rule: lowest writer id per cell
-
-	// fn is the program of the step in flight; body and commitFn are the
-	// closures handed to the engine core, built once so that Step itself is
-	// allocation-free.
-	fn       func(c *Ctx)
-	body     func(i int)
-	commitFn func() (Stats, engine.StepStats)
 }
 
 // New constructs a Machine from either the package-native Config or the
@@ -194,7 +187,7 @@ func newMachine(cfg Config) *Machine {
 		rom:      cfg.ROM,
 		mode:     cfg.Mode,
 		cellBits: bits,
-		core:     engine.NewCore[Stats]("pram", cfg.P, false, cfg.Observer),
+		core:     engine.NewCore("pram", cfg.P, cfg.Observer),
 		cols:     engine.NewCols(cfg.P, cfg.Seed),
 		rdCount:  make([]int, cfg.Mem),
 		wrCount:  make([]int, cfg.Mem),
@@ -203,15 +196,6 @@ func newMachine(cfg Config) *Machine {
 		winner:   make([]int, cfg.Mem),
 	}
 	m.ctx.m = m
-	m.body = func(i int) {
-		cols := m.cols
-		cols.ResetProc(i)
-		cols.Off[i] = int32(len(m.arena))
-		cols.Cnt[i] = 0
-		m.ctx.id = i
-		m.fn(&m.ctx)
-	}
-	m.commitFn = m.commit
 	return m
 }
 
@@ -239,9 +223,6 @@ func (m *Machine) BitsMoved() int { return m.bits }
 
 // ROMReads returns the total number of ROM reads issued (uncharged).
 func (m *Machine) ROMReads() int { return m.romRead }
-
-// Last returns the Stats of the most recent step.
-func (m *Machine) Last() Stats { return m.core.Last() }
 
 // Load reads shared memory directly, free of charge (tests and drivers).
 func (m *Machine) Load(addr int) int64 { return m.mem[addr] }
@@ -328,14 +309,22 @@ func (c *Ctx) ReadROM(addr int) int64 {
 	return c.m.rom[addr]
 }
 
-// Step executes fn for every processor and then commits the step: reads are
-// validated against the mode, writes are resolved and applied, and the clock
-// advances. It returns the step's Stats.
+// Step executes fn for every processor, one after another in id order (a
+// panicking program surfaces directly to the caller), and then commits the
+// step: reads are validated against the mode, writes are resolved and
+// applied, and the clock advances. It returns the step's Stats.
 func (m *Machine) Step(fn func(c *Ctx)) Stats {
-	m.fn = fn
 	m.arena = m.arena[:0]
-	st := m.core.Step(m.body, m.commitFn)
-	m.fn = nil
+	cols := m.cols
+	for i := 0; i < m.p; i++ {
+		cols.ResetProc(i)
+		cols.Off[i] = int32(len(m.arena))
+		cols.Cnt[i] = 0
+		m.ctx.id = i
+		fn(&m.ctx)
+	}
+	st, view := m.commit()
+	m.core.Commit(view)
 	m.bits += st.Bits
 	return st
 }

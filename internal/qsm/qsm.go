@@ -18,11 +18,10 @@
 // most one request per processor per step).
 //
 // A Machine runs the processors' programs of a phase one after another, in
-// processor order. The phase loop itself — context lifecycle, the
-// per-processor program loop, clock and trace commit, observer fan-out —
-// lives in internal/engine; this package contributes the QSM-specific merge
-// strategy (request validation, contention accounting, write resolution,
-// cost accounting).
+// processor order. The phase commit — clock, step numbering, observer —
+// lives in internal/engine; this package runs the per-processor program loop
+// and contributes the QSM-specific merge strategy (request validation,
+// contention accounting, write resolution, cost accounting).
 package qsm
 
 import (
@@ -52,11 +51,10 @@ type Stats struct {
 // construction surface nearly every caller uses; engine.Options builds the
 // same machine from plain numbers (see New).
 type Config struct {
-	P     int        // processors
-	Mem   int        // shared-memory words
-	Cost  model.Cost // must be a QSM kind
-	Seed  uint64
-	Trace bool
+	P    int        // processors
+	Mem  int        // shared-memory words
+	Cost model.Cost // must be a QSM kind
+	Seed uint64
 	// Observer, if non-nil, receives a normalized engine.StepStats callback
 	// after every phase.
 	Observer engine.Observer
@@ -82,7 +80,7 @@ type Machine struct {
 	p    int
 	mem  []int64
 	cost model.Cost
-	core *engine.Core[Stats]
+	core *engine.Core
 	cols *engine.Cols
 
 	// arena is the request arena, recycled across phases: every processor
@@ -96,13 +94,6 @@ type Machine struct {
 	// addresses of the current phase, reused across phases
 	rdCount, wrCount []int
 	touched          []int
-
-	// fn is the program of the phase in flight; body and mergeFn are the
-	// closures handed to the engine core, built once so that Phase itself is
-	// allocation-free.
-	fn      func(c *Ctx)
-	body    func(i int)
-	mergeFn func() (Stats, engine.StepStats)
 }
 
 // reqs returns processor i's buffered run inside the request arena.
@@ -122,7 +113,6 @@ func New[C Config | engine.Options](cfg C) *Machine {
 			Mem:      o.Mem,
 			Cost:     o.QSMCost(),
 			Seed:     o.Seed,
-			Trace:    o.Trace,
 			Observer: o.Observer,
 		})
 	}
@@ -143,21 +133,12 @@ func newMachine(cfg Config) *Machine {
 		p:       cfg.P,
 		mem:     make([]int64, cfg.Mem),
 		cost:    cfg.Cost,
-		core:    engine.NewCore[Stats]("qsm", cfg.P, cfg.Trace, cfg.Observer),
+		core:    engine.NewCore("qsm", cfg.P, cfg.Observer),
 		cols:    engine.NewCols(cfg.P, cfg.Seed),
 		rdCount: make([]int, cfg.Mem),
 		wrCount: make([]int, cfg.Mem),
 	}
 	m.ctx.m = m
-	m.body = func(i int) {
-		cols := m.cols
-		cols.ResetProc(i)
-		cols.Off[i] = int32(len(m.arena))
-		cols.Cnt[i] = 0
-		m.ctx.id = i
-		m.fn(&m.ctx)
-	}
-	m.mergeFn = m.merge
 	return m
 }
 
@@ -175,12 +156,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Phases returns the number of phases executed.
 func (m *Machine) Phases() int { return m.core.Steps() }
-
-// Last returns the Stats of the most recent phase.
-func (m *Machine) Last() Stats { return m.core.Last() }
-
-// Trace returns retained per-phase Stats (nil unless Config.Trace).
-func (m *Machine) Trace() []Stats { return m.core.Trace() }
 
 // ChargeTime adds simulated time outside any phase.
 func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }
@@ -280,13 +255,22 @@ func (c *Ctx) badAddr(addr int) {
 	panic(fmt.Sprintf("qsm: proc %d access to invalid address %d (mem=%d)", c.id, addr, len(c.m.mem)))
 }
 
-// Phase executes fn for every processor, applies buffered writes, computes
-// contention and cost, and advances the clock. It returns the phase Stats.
+// Phase executes fn for every processor, one after another in id order (a
+// panicking program surfaces directly to the caller), applies buffered
+// writes, computes contention and cost, and advances the clock. It returns
+// the phase Stats.
 func (m *Machine) Phase(fn func(c *Ctx)) Stats {
-	m.fn = fn
 	m.arena = m.arena[:0]
-	st := m.core.Step(m.body, m.mergeFn)
-	m.fn = nil
+	cols := m.cols
+	for i := 0; i < m.p; i++ {
+		cols.ResetProc(i)
+		cols.Off[i] = int32(len(m.arena))
+		cols.Cnt[i] = 0
+		m.ctx.id = i
+		fn(&m.ctx)
+	}
+	st, view := m.merge()
+	m.core.Commit(view)
 	return st
 }
 
@@ -413,7 +397,7 @@ func (m *Machine) merge() (Stats, engine.StepStats) {
 	}
 }
 
-// Reset clears memory, time and trace, preserving processor RNG state.
+// Reset clears memory and time, preserving processor RNG state.
 func (m *Machine) Reset() {
 	for i := range m.mem {
 		m.mem[i] = 0

