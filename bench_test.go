@@ -286,7 +286,7 @@ func BenchmarkGranularSend(b *testing.B) {
 func BenchmarkFlitSend(b *testing.B) {
 	p, mm, l := 128, 32, 4
 	rng := xrand.New(benchSeed)
-	plan := sched.UnbalancedExchangePlan(rng, p, 6).WithOverhead(2)
+	plan := sched.WithOverhead(sched.UnbalancedExchangePlan(rng, p, 6), 2)
 	var t float64
 	for i := 0; i < b.N; i++ {
 		m := bspmE(p, mm, l)

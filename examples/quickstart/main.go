@@ -32,20 +32,13 @@ func main() {
 	// the regime where globally-limited models beat locally-limited ones.
 	rng := xrand.New(seed)
 	plan := sched.ZipfPlan(rng, p, 4096, 1.2)
-	x, n, _ := plan.Flits(p)
-	xbar := 0
-	for _, v := range x {
-		if v > xbar {
-			xbar = v
-		}
-	}
-	fmt.Printf("workload: n=%d messages over p=%d processors, busiest sender x̄=%d\n\n", n, p, xbar)
 
 	machine := func() *bsp.Machine {
 		return bsp.New(bsp.Config{P: p, Cost: model.BSPm(m, l), Seed: seed})
 	}
 
 	naive := sched.NaiveSend(machine(), plan)
+	fmt.Printf("workload: n=%d messages over p=%d processors, busiest sender x̄=%d\n\n", naive.N, p, naive.XBar)
 	fmt.Printf("naive (all at step 0):   time %12.1f  max step load %4d (m=%d)\n",
 		naive.Time, naive.Send.MaxSlot, m)
 

@@ -20,6 +20,7 @@ import (
 	"parbw/internal/bsp"
 	"parbw/internal/model"
 	"parbw/internal/sched"
+	"parbw/internal/work"
 	"parbw/internal/xrand"
 )
 
@@ -52,8 +53,8 @@ func main() {
 	// The join output for key k has rCount[k]*sCount[k] tuples, produced at
 	// processor k mod p, and each tuple is redistributed to a
 	// pseudo-random target (hash of the output key).
-	plan := make(sched.Plan, p)
-	out := 0
+	plan := &work.Step{}
+	x := make([]int, p) // output tuples per processor
 	for k := 0; k < keys; k++ {
 		owner := k % p
 		tuples := rCount[k] * sCount[k]
@@ -64,11 +65,11 @@ func main() {
 		}
 		for t := 0; t < tuples; t++ {
 			dst := int(rng.Uint64() % uint64(p))
-			plan[owner] = append(plan[owner], bsp.Msg{Dst: int32(dst), A: int64(k)})
-			out++
+			plan.Sends = append(plan.Sends, work.Send{Proc: owner, Dst: dst, A: int64(k)})
+			x[owner]++
 		}
 	}
-	x, n, _ := plan.Flits(p)
+	n := len(plan.Sends)
 	xbar := 0
 	busy := 0
 	for _, v := range x {

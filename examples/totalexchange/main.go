@@ -49,19 +49,10 @@ func main() {
 	// p/8 chatty processors send long messages to everyone, the rest send
 	// a single flit. Now h ≫ n/p and the globally-limited machine wins.
 	chatting := sched.SkewedExchangePlan(p, p/8, 16, 1)
-	x, n, y := chatting.Flits(p)
-	xbar, ybar := 0, 0
-	for i := range x {
-		if x[i] > xbar {
-			xbar = x[i]
-		}
-		if y[i] > ybar {
-			ybar = y[i]
-		}
-	}
 	local, global = machines()
 	lr = sched.NaiveSend(local, chatting)
 	gr = sched.UnbalancedConsecutiveSend(global, chatting, sched.Options{Eps: 0.25})
+	n, xbar, ybar := gr.N, gr.XBar, gr.YBar
 	fmt.Println("unbalanced total exchange (chatting, p/8 heavy senders):")
 	fmt.Printf("  n=%d flits, x̄=%d, ȳ=%d\n", n, xbar, ybar)
 	fmt.Printf("  BSP(g): %8.0f  — pays Θ(g(x̄+ȳ)) >= g·max(x̄,ȳ) = %d (Prop 6.1)\n",

@@ -30,7 +30,7 @@ func FuzzUnbalancedSend(f *testing.F) {
 		} else {
 			r = sched.UnbalancedSend(m, plan, sched.Options{Eps: 0.25})
 		}
-		_, want, _ := plan.Flits(p)
+		want := len(plan.Sends) // unit messages
 		got := 0
 		for i := 0; i < p; i++ {
 			for _, msg := range m.Inbox(i) {

@@ -76,8 +76,8 @@ type Stats struct {
 
 // Config configures a Machine with an explicit model.Cost. It is the
 // construction surface nearly every caller uses, and the only one for cost
-// models engine.Options cannot express, such as the self-scheduling BSP(m)
-// (see New).
+// models and knobs engine.Options cannot express, such as the
+// self-scheduling BSP(m) or an observer (see New).
 type Config struct {
 	P    int        // number of simulated processors (>= 1)
 	Cost model.Cost // cost model; must be a BSP kind
@@ -129,20 +129,14 @@ func (m *Machine) sends(i int) []send {
 }
 
 // New constructs a Machine from either the package-native Config or the
-// cross-machine engine.Options surface (engine.Options selects BSP(m) when
-// M > 0, BSP(g) otherwise; see its docs). The two calls build identical
-// machines:
+// plain-number engine.Options (engine.Options selects BSP(m) when M > 0,
+// BSP(g) otherwise; see its docs). The two calls build identical machines:
 //
 //	bsp.New(bsp.Config{P: 64, Cost: model.BSPm(8, 4), Seed: 1})
 //	bsp.New(engine.Options{Procs: 64, M: 8, L: 4, Seed: 1})
 func New[C Config | engine.Options](cfg C) *Machine {
 	if o, ok := any(cfg).(engine.Options); ok {
-		return newMachine(Config{
-			P:        o.Procs,
-			Cost:     o.BSPCost(),
-			Seed:     o.Seed,
-			Observer: o.Observer,
-		})
+		return newMachine(Config{P: o.Procs, Cost: o.BSPCost(), Seed: o.Seed})
 	}
 	return newMachine(any(cfg).(Config))
 }
@@ -180,11 +174,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Supersteps returns the number of supersteps executed.
 func (m *Machine) Supersteps() int { return m.core.Steps() }
-
-// ChargeTime adds t units of simulated time outside any superstep. It is
-// used by protocols whose analysis charges fixed terms (for example a known
-// constant broadcast cost) without simulating them step by step.
-func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }
 
 // Ctx is the per-processor view of the current superstep. A Ctx is valid
 // only inside the program function of the superstep it was passed to. It is

@@ -222,14 +222,6 @@ func TestDeliverAndInbox(t *testing.T) {
 	}
 }
 
-func TestChargeTime(t *testing.T) {
-	m := newBSPg(2, 1, 1)
-	m.ChargeTime(17)
-	if m.Time() != 17 {
-		t.Fatalf("Time = %v, want 17", m.Time())
-	}
-}
-
 func TestReset(t *testing.T) {
 	m := newBSPg(2, 1, 1)
 	m.Superstep(func(c *Ctx) { c.Send(1-c.ID(), 0, 1) })

@@ -31,6 +31,7 @@ import (
 	"parbw/internal/bsp"
 	"parbw/internal/model"
 	"parbw/internal/sched"
+	"parbw/internal/work"
 	"parbw/internal/xrand"
 )
 
@@ -155,64 +156,13 @@ func (r Result) LooksStable() bool {
 	return second <= 2*first+3
 }
 
-// collectWindow gathers the adversary's arrivals for window i (steps
-// [i·w, (i+1)·w)) into a per-source plan.
-func collectWindow(adv Adversary, p, w, i int) (sched.Plan, int) {
-	plan := make(sched.Plan, p)
-	n := 0
-	for t := i * w; t < (i+1)*w; t++ {
-		for _, a := range adv.Step(t) {
-			plan[a.Src] = append(plan[a.Src], bsp.Msg{Dst: int32(a.Dst), A: int64(t)})
-			n++
-		}
-	}
-	return plan, n
-}
-
 // RunAlgorithmB routes the adversary's traffic on a globally-limited
 // machine per Theorem 6.7: window i's batch is sent with Unbalanced-Send
 // (KnownN = ⌈αw⌉, so τ = 0) starting at the later of the window's close and
-// the previous batch's completion.
+// the previous batch's completion. It is RunAlgorithmBWith with unit
+// messages and UnbalancedSendScheduler.
 func RunAlgorithmB(m *bsp.Machine, adv Adversary, l Limits, windows int, eps float64) Result {
-	if !m.Cost().Global() {
-		panic("dynamic: RunAlgorithmB needs a globally-limited machine")
-	}
-	p := m.P()
-	res := Result{Windows: windows}
-	free := 0.0 // machine-time point at which the sender is next free
-	var closed []int
-	var completed []float64
-	for i := 0; i < windows; i++ {
-		plan, n := collectWindow(adv, p, l.W, i)
-		closeAt := float64((i + 1) * l.W)
-		start := closeAt
-		if free > start {
-			start = free
-		}
-		if n > 0 {
-			r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps, KnownN: l.MaxPerWindow()})
-			free = start + r.Time
-			res.TotalSent += n
-		} else {
-			free = start
-		}
-		closed = append(closed, n)
-		completed = append(completed, free)
-		res.ServiceTimes = append(res.ServiceTimes, free-closeAt)
-		// Backlog at this window boundary: arrivals from all closed windows
-		// whose batches have not completed by closeAt.
-		pending := 0
-		for j := 0; j <= i; j++ {
-			if completed[j] > closeAt {
-				pending += closed[j]
-			}
-		}
-		res.Backlog = append(res.Backlog, pending)
-		if pending > res.MaxBacklog {
-			res.MaxBacklog = pending
-		}
-	}
-	return res
+	return RunAlgorithmBWith(m, adv, l, windows, 1, UnbalancedSendScheduler(eps))
 }
 
 // RunBSPgInterval routes the adversary's traffic on a locally-limited
@@ -222,33 +172,42 @@ func RunBSPgInterval(m *bsp.Machine, adv Adversary, l Limits, windows int) Resul
 	if m.Cost().Kind != model.KindBSPg {
 		panic("dynamic: RunBSPgInterval needs a BSP(g) machine")
 	}
-	p := m.P()
 	g := m.Cost().G
 	interval := g * ((l.W + g - 1) / g)
 	if m.Cost().L > interval {
 		interval = m.Cost().L
 	}
+	return route(adv, interval, windows, 1, func(plan sched.Plan) model.Time {
+		return sched.NaiveSend(m, plan).Time // one h-relation superstep
+	})
+}
+
+// route is the window loop both routers share. Window i's arrivals (steps
+// [i·interval, (i+1)·interval)) become one plan of flits-long messages,
+// which send transmits starting at the later of the window's close and the
+// previous batch's completion; the backlog is sampled at every window
+// boundary.
+func route(adv Adversary, interval, windows, flits int, send func(sched.Plan) model.Time) Result {
 	res := Result{Windows: windows}
-	free := 0.0
+	free := 0.0 // machine-time point at which the sender is next free
 	var closed []int
 	var completed []float64
+	plan := &work.Step{} // reused: a scheduler keeps no reference to its plan
 	for i := 0; i < windows; i++ {
-		plan := make(sched.Plan, p)
-		n := 0
+		plan.Sends = plan.Sends[:0]
 		for t := i * interval; t < (i+1)*interval; t++ {
 			for _, a := range adv.Step(t) {
-				plan[a.Src] = append(plan[a.Src], bsp.Msg{Dst: int32(a.Dst), A: int64(t)})
-				n++
+				plan.Sends = append(plan.Sends, work.Send{Proc: a.Src, Dst: a.Dst, Len: flits, A: int64(t)})
 			}
 		}
+		n := len(plan.Sends)
 		closeAt := float64((i + 1) * interval)
 		start := closeAt
 		if free > start {
 			start = free
 		}
 		if n > 0 {
-			r := sched.NaiveSend(m, plan) // one h-relation superstep
-			free = start + r.Time
+			free = start + send(plan)
 			res.TotalSent += n
 		} else {
 			free = start
@@ -256,6 +215,8 @@ func RunBSPgInterval(m *bsp.Machine, adv Adversary, l Limits, windows int) Resul
 		closed = append(closed, n)
 		completed = append(completed, free)
 		res.ServiceTimes = append(res.ServiceTimes, free-closeAt)
+		// Backlog at this window boundary: arrivals from all closed windows
+		// whose batches have not completed by closeAt.
 		pending := 0
 		for j := 0; j <= i; j++ {
 			if completed[j] > closeAt {
@@ -417,7 +378,7 @@ func (a *BurstAdversary) Step(t int) []Arrival {
 
 // Scheduler is the static routing algorithm A that Theorem 6.7
 // parameterizes Algorithm B over: anything that sends a batch and reports
-// its completion time.
+// its completion time. The plan is valid only during the call.
 type Scheduler func(m *bsp.Machine, plan sched.Plan, knownN int) model.Time
 
 // UnbalancedSendScheduler adapts Theorem 6.2's scheduler.
@@ -445,8 +406,8 @@ type FlitAdversary struct {
 	Len   int
 }
 
-// Step returns the inner arrivals (lengths are applied by RunAlgorithmBWith
-// via the plan builder, which reads FlitAdversary.Len).
+// Step returns the inner arrivals. Lengths are applied by RunAlgorithmBWith's
+// flits argument, which callers set to FlitAdversary.Len.
 func (f FlitAdversary) Step(t int) []Arrival { return f.Inner.Step(t) }
 
 // RunAlgorithmBWith is RunAlgorithmB with an explicit scheduler A and
@@ -460,46 +421,8 @@ func RunAlgorithmBWith(m *bsp.Machine, adv Adversary, l Limits, windows int,
 	if flits < 1 {
 		flits = 1
 	}
-	p := m.P()
-	res := Result{Windows: windows}
-	free := 0.0
-	var closed []int
-	var completed []float64
-	for i := 0; i < windows; i++ {
-		plan := make(sched.Plan, p)
-		n := 0
-		for t := i * l.W; t < (i+1)*l.W; t++ {
-			for _, a := range adv.Step(t) {
-				plan[a.Src] = append(plan[a.Src],
-					bsp.Msg{Dst: int32(a.Dst), Len: int32(flits), A: int64(t)})
-				n++
-			}
-		}
-		closeAt := float64((i + 1) * l.W)
-		start := closeAt
-		if free > start {
-			start = free
-		}
-		if n > 0 {
-			took := schedule(m, plan, l.MaxPerWindow()*flits)
-			free = start + took
-			res.TotalSent += n
-		} else {
-			free = start
-		}
-		closed = append(closed, n)
-		completed = append(completed, free)
-		res.ServiceTimes = append(res.ServiceTimes, free-closeAt)
-		pending := 0
-		for j := 0; j <= i; j++ {
-			if completed[j] > closeAt {
-				pending += closed[j]
-			}
-		}
-		res.Backlog = append(res.Backlog, pending)
-		if pending > res.MaxBacklog {
-			res.MaxBacklog = pending
-		}
-	}
-	return res
+	knownN := l.MaxPerWindow() * flits
+	return route(adv, l.W, windows, flits, func(plan sched.Plan) model.Time {
+		return schedule(m, plan, knownN)
+	})
 }

@@ -11,7 +11,7 @@ func step(c *Core, cost float64, n, maxSlot, overload int) {
 	c.Commit(StepStats{N: n, MaxSlot: maxSlot, Overload: overload, Cost: cost})
 }
 
-// The clock sums committed costs and ChargeTime, and the observer receives
+// The clock sums committed costs, and the observer receives
 // the whole trace of committed steps, numbered from 0 again after
 // ResetClock.
 func TestCoreClockAndTrace(t *testing.T) {
@@ -31,10 +31,6 @@ func TestCoreClockAndTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("observed trace = %+v, want %+v", got, want)
-	}
-	c.ChargeTime(10)
-	if c.Time() != 18 {
-		t.Fatalf("Time after ChargeTime = %v", c.Time())
 	}
 	c.ResetClock()
 	if c.Time() != 0 || c.Steps() != 0 {

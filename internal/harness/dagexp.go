@@ -103,14 +103,15 @@ func priceLowering(comm *work.IR, p, mm, g, l int, eps float64, seed uint64, obs
 	// known (no learn-n collective); empty supersteps launch no comm phase.
 	ms := newBSPmExp(p, mm, l, seed, obs)
 	for step := range comm.Steps {
+		plan := &comm.Steps[step]
 		n := 0
-		for _, s := range comm.Steps[step].Sends {
+		for _, s := range plan.Sends {
 			n += s.Flits()
 		}
 		if n == 0 {
 			continue
 		}
-		r := sched.UnbalancedSendIR(ms, comm, step, sched.Options{Eps: eps, KnownN: n})
+		r := sched.UnbalancedSend(ms, plan, sched.Options{Eps: eps, KnownN: n})
 		pr.schedOv += r.Send.Overload
 	}
 	pr.ts = float64(ms.Time())

@@ -444,7 +444,7 @@ func runWraparound(rec *Recorder) {
 		"workload", "wraparound time", "consecutive time", "consec/wrap", "wrap maxslot", "consec maxslot")
 	rng := xrand.New(cfg.Seed)
 	for _, name := range workloadOrder {
-		plan := workloads(rng, p, 16)[name]
+		plan := workload(rng, p, 16, name)
 		mw := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
 		rw := sched.UnbalancedSend(mw, plan, sched.Options{Eps: eps})
 		mc := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
@@ -487,13 +487,13 @@ func runAsync(rec *Recorder) {
 	}
 	ir := b.MustIR()
 	mb := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
-	rNaive := sched.NaiveSendIR(mb, ir, 0)
+	rNaive := sched.NaiveSend(mb, &ir.Steps[0])
 	opt := rNaive.OptimalOffline(mm, l)
 	t.Row("bulk-sync naive (f^u)", rNaive.Time, rNaive.Time/opt)
 
 	// 2. Bulk-synchronous BSP(m) with Unbalanced-Send.
 	ms := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
-	rSched := sched.UnbalancedSendIR(ms, ir, 0, sched.Options{Eps: 0.25, KnownN: n})
+	rSched := sched.UnbalancedSend(ms, &ir.Steps[0], sched.Options{Eps: 0.25, KnownN: n})
 	t.Row("bulk-sync Unbalanced-Send", rSched.Time, rSched.Time/opt)
 
 	// 3. Asynchronous machine with token-bucket backpressure, naive

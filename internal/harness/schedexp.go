@@ -97,14 +97,23 @@ func init() {
 	})
 }
 
-// workloads returns the named skew shapes of Section 6's motivation.
-func workloads(rng *xrand.Source, p, scale int) map[string]sched.Plan {
-	return map[string]sched.Plan{
-		"uniform":  sched.UniformPlan(rng, p, scale),
-		"zipf":     sched.ZipfPlan(rng, p, p*scale, 1.2),
-		"halfhalf": sched.HalfHalfPlan(rng, p, 2*scale, scale/4+1),
-		"point":    sched.PointPlan(p, p*scale/4),
+// workload returns the named skew shape of Section 6's motivation. All four
+// generators run, in workloadOrder, so the draws from rng — and with them
+// every later plan — do not depend on which shape is kept; the other three
+// are dropped as soon as they are built.
+func workload(rng *xrand.Source, p, scale int, name string) sched.Plan {
+	var kept sched.Plan
+	for i, plan := range []func() sched.Plan{
+		func() sched.Plan { return sched.UniformPlan(rng, p, scale) },
+		func() sched.Plan { return sched.ZipfPlan(rng, p, p*scale, 1.2) },
+		func() sched.Plan { return sched.HalfHalfPlan(rng, p, 2*scale, scale/4+1) },
+		func() sched.Plan { return sched.PointPlan(p, p*scale/4) },
+	} {
+		if pl := plan(); workloadOrder[i] == name {
+			kept = pl
+		}
 	}
+	return kept
 }
 
 var workloadOrder = []string{"uniform", "zipf", "halfhalf", "point"}
@@ -118,7 +127,7 @@ func runSchedStatic(rec *Recorder) {
 	t := tablefmt.New("Unbalanced-Send vs offline optimum and BSP(g) (p=256, m=64, exp penalty)",
 		"workload", "n", "x̄", "ȳ", "measured", "offline opt", "Thm6.2 bound", "BSP(g) Θ(g(x̄+ȳ))", "maxslot", "overloads")
 	for _, name := range workloadOrder {
-		plan := workloads(rng, p, 16)[name]
+		plan := workload(rng, p, 16, name)
 		m := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
 		opt := r.OptimalOffline(mm, l)
@@ -137,7 +146,7 @@ func runSchedConsecutive(rec *Recorder) {
 	t := tablefmt.New("Unbalanced-Consecutive-Send (all flits of a sender contiguous)",
 		"workload", "n", "x̄", "measured", "Thm6.3 bound", "maxslot", "overloads")
 	for _, name := range workloadOrder {
-		plan := workloads(rng, p, 8)[name]
+		plan := workload(rng, p, 8, name)
 		m := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
 		r := sched.UnbalancedConsecutiveSend(m, plan, sched.Options{Eps: eps})
 		// x̄' = max over non-overloaded senders; conservatively x̄.
@@ -155,7 +164,7 @@ func runSchedGranular(rec *Recorder) {
 	t := tablefmt.New(fmt.Sprintf("Unbalanced-Granular-Send (granularity t' = n/p, period c·n/m, c=%d)", c),
 		"workload", "n", "t'", "measured", "c·n/m + x̄", "maxslot", "overloads")
 	for _, name := range workloadOrder {
-		plan := workloads(rng, p, 8)[name]
+		plan := workload(rng, p, 8, name)
 		m := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
 		r := sched.UnbalancedGranularSend(m, plan, sched.Options{GranularC: float64(c)})
 		tg := r.N / p
@@ -176,17 +185,19 @@ func runSchedFlits(rec *Recorder) {
 	base := sched.UnbalancedExchangePlan(rng, p, 6) // lengths 1..6
 	t := tablefmt.New("long messages and startup overhead o (unbalanced total exchange, ℓ ≤ 6)",
 		"o", "n (flits)", "ℓ̂", "measured", "(1+ε)(1+o/ℓ̄)n/m + ℓ̂ + o + τ")
-	_, n0, _ := base.Flits(p)
-	msgs := 0
-	for _, ms := range base {
-		msgs += len(ms)
+	n0 := 0
+	for _, s := range base.Sends {
+		n0 += s.Flits()
 	}
-	lbar := float64(n0) / float64(msgs)
+	lbar := float64(n0) / float64(len(base.Sends))
 	for _, o := range []int{0, 1, 2, 4, 8} {
-		plan := base.WithOverhead(o)
+		plan := sched.WithOverhead(base, o)
 		m := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)
 		r := sched.UnbalancedSend(m, plan, sched.Options{Eps: eps})
-		lhat := plan.MaxLen()
+		lhat := 0 // ℓ̂, the longest message
+		for _, s := range plan.Sends {
+			lhat = max(lhat, s.Flits())
+		}
 		bound := (1+eps)*(1+float64(o)/lbar)*float64(n0)/float64(mm) +
 			float64(lhat) + float64(o) + r.Tau
 		t.Row(o, r.N, lhat, r.Time, bound)
@@ -202,7 +213,7 @@ func runSelfSched(rec *Recorder) {
 	t := tablefmt.New("self-scheduling BSP(m) metric vs realized BSP(m) schedule",
 		"workload", "self-sched time", "BSP(m) measured", "ratio", "(1+ε) target")
 	for _, name := range workloadOrder {
-		plan := workloads(rng, p, 16)[name]
+		plan := workload(rng, p, 16, name)
 		ss := bsp.New(bsp.Config{P: p, Cost: model.BSPSelfSched(mm, l), Seed: cfg.Seed, Observer: cfg.Observer})
 		ssr := sched.NaiveSend(ss, plan) // metric ignores injection times
 		real := newBSPmExp(p, mm, l, cfg.Seed, cfg.Observer)

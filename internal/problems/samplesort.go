@@ -4,6 +4,7 @@ import (
 	"parbw/internal/bsp"
 	"parbw/internal/collective"
 	"parbw/internal/sched"
+	"parbw/internal/work"
 	"parbw/internal/xrand"
 )
 
@@ -63,13 +64,13 @@ func SampleSortBSP(m *bsp.Machine, keys []int64, oversample int) []int64 {
 
 	// Phase 2: gather all samples at processor 0 (scheduled: per-slot load
 	// bounded by striping senders), sort them, pick p−1 splitters.
-	plan := make(sched.Plan, p)
+	plan := &work.Step{}
 	for i := 1; i < p; i++ {
 		for _, s := range samples[i] {
-			plan[i] = append(plan[i], bsp.Msg{Dst: 0, A: s})
+			plan.Sends = append(plan.Sends, work.Send{Proc: i, Dst: 0, A: s})
 		}
 	}
-	if _, total, _ := plan.Flits(p); total > 0 {
+	if total := len(plan.Sends); total > 0 {
 		sched.UnbalancedSend(m, plan, sched.Options{KnownN: total})
 	}
 	var splitters []int64
@@ -107,14 +108,14 @@ func SampleSortBSP(m *bsp.Machine, keys []int64, oversample int) []int64 {
 		}
 		return lo
 	}
-	route := make(sched.Plan, p)
+	route := &work.Step{Sends: make([]work.Send, 0, len(keys))}
 	for i := 0; i < p; i++ {
 		lo, hi := blockOf(i)
 		for _, k := range keys[lo:hi] {
-			route[i] = append(route[i], bsp.Msg{Dst: int32(bucketOf(k)), A: k})
+			route.Sends = append(route.Sends, work.Send{Proc: i, Dst: bucketOf(k), A: k})
 		}
 	}
-	if _, total, _ := route.Flits(p); total > 0 {
+	if total := len(route.Sends); total > 0 {
 		sched.UnbalancedSend(m, route, sched.Options{KnownN: total})
 	}
 

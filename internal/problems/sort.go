@@ -6,6 +6,7 @@ import (
 
 	"parbw/internal/bsp"
 	"parbw/internal/sched"
+	"parbw/internal/work"
 )
 
 // Sorting on bandwidth-limited machines (Table 1 row 5).
@@ -193,9 +194,8 @@ func (b bspBackend) leafSort(arr []int64, spans []span) {
 func (b bspBackend) permute(arr []int64, spans []span, perm func(int) int) {
 	m := b.m
 	p := m.P()
-	plan := make(sched.Plan, p)
+	plan := &work.Step{}
 	next := make([]int64, len(arr))
-	known := 0
 	type localMove struct {
 		to int
 		v  int64
@@ -213,11 +213,10 @@ func (b bspBackend) permute(arr []int64, spans []span, perm func(int) int) {
 				localWork[src]++
 				continue
 			}
-			plan[src] = append(plan[src], bsp.Msg{Dst: int32(dst), A: arr[from], B: int64(to)})
-			known++
+			plan.Sends = append(plan.Sends, work.Send{Proc: src, Dst: dst, A: arr[from], B: int64(to)})
 		}
 	}
-	if known > 0 {
+	if known := len(plan.Sends); known > 0 {
 		sched.UnbalancedSend(m, plan, sched.Options{KnownN: known})
 	}
 	// Apply receives and local moves; charge the per-processor work.
@@ -239,9 +238,7 @@ func (b bspBackend) permute(arr []int64, spans []span, perm func(int) int) {
 // sorted, and scattered back.
 func (b bspBackend) gatherSort(arr []int64, spans []span) {
 	m := b.m
-	p := m.P()
-	plan := make(sched.Plan, p)
-	known := 0
+	plan := &work.Step{}
 	for _, sp := range spans {
 		for k := 0; k < sp.cnt; k++ {
 			pos := sp.off + k
@@ -249,11 +246,10 @@ func (b bspBackend) gatherSort(arr []int64, spans []span) {
 			if src == sp.procLo {
 				continue
 			}
-			plan[src] = append(plan[src], bsp.Msg{Dst: int32(sp.procLo), A: arr[pos], B: int64(pos)})
-			known++
+			plan.Sends = append(plan.Sends, work.Send{Proc: src, Dst: sp.procLo, A: arr[pos], B: int64(pos)})
 		}
 	}
-	if known > 0 {
+	if known := len(plan.Sends); known > 0 {
 		sched.UnbalancedSend(m, plan, sched.Options{KnownN: known})
 	}
 	m.Superstep(func(c *bsp.Ctx) {
@@ -272,8 +268,7 @@ func (b bspBackend) gatherSort(arr []int64, spans []span) {
 		}
 	})
 	// Scatter back.
-	plan2 := make(sched.Plan, p)
-	known2 := 0
+	plan2 := &work.Step{}
 	for _, sp := range spans {
 		for k := 0; k < sp.cnt; k++ {
 			pos := sp.off + k
@@ -281,11 +276,10 @@ func (b bspBackend) gatherSort(arr []int64, spans []span) {
 			if dst == sp.procLo {
 				continue
 			}
-			plan2[sp.procLo] = append(plan2[sp.procLo], bsp.Msg{Dst: int32(dst), A: arr[pos], B: int64(pos)})
-			known2++
+			plan2.Sends = append(plan2.Sends, work.Send{Proc: sp.procLo, Dst: dst, A: arr[pos], B: int64(pos)})
 		}
 	}
-	if known2 > 0 {
+	if known2 := len(plan2.Sends); known2 > 0 {
 		sched.UnbalancedSend(m, plan2, sched.Options{KnownN: known2})
 	}
 	m.Superstep(func(c *bsp.Ctx) {
@@ -300,8 +294,7 @@ func (b bspBackend) gatherSort(arr []int64, spans []span) {
 // scheduled send and writes them into out (same global indexing).
 func routeBSP(m *bsp.Machine, p, n int, in []int64,
 	srcOwner, dstOwner func(int) int, out []int64) {
-	plan := make(sched.Plan, p)
-	known := 0
+	plan := &work.Step{}
 	type localMove struct {
 		to int
 		v  int64
@@ -313,10 +306,9 @@ func routeBSP(m *bsp.Machine, p, n int, in []int64,
 			locals[src] = append(locals[src], localMove{to: idx, v: in[idx]})
 			continue
 		}
-		plan[src] = append(plan[src], bsp.Msg{Dst: int32(dst), A: in[idx], B: int64(idx)})
-		known++
+		plan.Sends = append(plan.Sends, work.Send{Proc: src, Dst: dst, A: in[idx], B: int64(idx)})
 	}
-	if known > 0 {
+	if known := len(plan.Sends); known > 0 {
 		sched.UnbalancedSend(m, plan, sched.Options{KnownN: known})
 	}
 	m.Superstep(func(c *bsp.Ctx) {

@@ -3,6 +3,7 @@ package problems
 import (
 	"parbw/internal/bsp"
 	"parbw/internal/sched"
+	"parbw/internal/work"
 )
 
 // MatrixTransposeBSP transposes an N×N matrix distributed one row per
@@ -34,18 +35,16 @@ func MatrixTransposeBSP(m *bsp.Machine, rows [][]int64) [][]int64 {
 		out[i] = make([]int64, p)
 		out[i][i] = rows[i][i] // diagonal stays local
 	}
-	plan := make(sched.Plan, p)
-	n := 0
+	plan := &work.Step{Sends: make([]work.Send, 0, p*(p-1))}
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			if i == j {
 				continue
 			}
-			plan[i] = append(plan[i], bsp.Msg{Dst: int32(j), A: rows[i][j], B: int64(i)})
-			n++
+			plan.Sends = append(plan.Sends, work.Send{Proc: i, Dst: j, A: rows[i][j], B: int64(i)})
 		}
 	}
-	if n > 0 {
+	if n := len(plan.Sends); n > 0 {
 		sched.UnbalancedSend(m, plan, sched.Options{KnownN: n})
 	}
 	m.Superstep(func(c *bsp.Ctx) {

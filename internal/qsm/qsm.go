@@ -47,9 +47,7 @@ type Stats struct {
 	Cost     model.Time // phase cost under the machine's model
 }
 
-// Config configures a Machine with an explicit model.Cost. It is the
-// construction surface nearly every caller uses; engine.Options builds the
-// same machine from plain numbers (see New).
+// Config configures a Machine with an explicit model.Cost.
 type Config struct {
 	P    int        // processors
 	Mem  int        // shared-memory words
@@ -102,24 +100,8 @@ func (m *Machine) reqs(i int) []request {
 	return m.arena[off : off+m.cols.Cnt[i]]
 }
 
-// New constructs a Machine from either the package-native Config or the
-// cross-machine engine.Options surface (engine.Options selects QSM(m) when
-// M > 0, QSM(g) otherwise; see its docs). It panics on invalid
-// configuration.
-func New[C Config | engine.Options](cfg C) *Machine {
-	if o, ok := any(cfg).(engine.Options); ok {
-		return newMachine(Config{
-			P:        o.Procs,
-			Mem:      o.Mem,
-			Cost:     o.QSMCost(),
-			Seed:     o.Seed,
-			Observer: o.Observer,
-		})
-	}
-	return newMachine(any(cfg).(Config))
-}
-
-func newMachine(cfg Config) *Machine {
+// New constructs a Machine. It panics on invalid configuration.
+func New(cfg Config) *Machine {
 	if !cfg.Cost.SharedMemory() {
 		panic(fmt.Sprintf("qsm: cost model %v is not a QSM kind", cfg.Cost.Kind))
 	}
@@ -156,9 +138,6 @@ func (m *Machine) Time() model.Time { return m.core.Time() }
 
 // Phases returns the number of phases executed.
 func (m *Machine) Phases() int { return m.core.Steps() }
-
-// ChargeTime adds simulated time outside any phase.
-func (m *Machine) ChargeTime(t model.Time) { m.core.ChargeTime(t) }
 
 // Load reads shared memory directly, free of model charge (setup and
 // inspection only).

@@ -234,11 +234,3 @@ func TestGroupedEmulationDominance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestChargeTime(t *testing.T) {
-	m := newQSMg(2, 2, 1)
-	m.ChargeTime(3.5)
-	if m.Time() != 3.5 {
-		t.Fatal("ChargeTime not applied")
-	}
-}

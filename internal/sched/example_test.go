@@ -6,6 +6,7 @@ import (
 	"parbw/internal/bsp"
 	"parbw/internal/model"
 	"parbw/internal/sched"
+	"parbw/internal/work"
 )
 
 // ExampleUnbalancedSend shows the core workflow: build a globally-limited
@@ -17,12 +18,12 @@ func ExampleUnbalancedSend() {
 
 	// Processor 0 holds 12 messages; everyone else holds one: a skewed
 	// h-relation.
-	plan := make(sched.Plan, p)
+	plan := &work.Step{}
 	for k := 0; k < 12; k++ {
-		plan[0] = append(plan[0], bsp.Msg{Dst: int32(1 + k%(p-1))})
+		plan.Sends = append(plan.Sends, work.Send{Proc: 0, Dst: 1 + k%(p-1)})
 	}
 	for i := 1; i < p; i++ {
-		plan[i] = []bsp.Msg{{Dst: 0}}
+		plan.Sends = append(plan.Sends, work.Send{Proc: i, Dst: 0})
 	}
 
 	res := sched.UnbalancedSend(machine, plan, sched.Options{Eps: 0.25, KnownN: 19})
@@ -34,16 +35,13 @@ func ExampleUnbalancedSend() {
 	// Output: n=19 x̄=12 delivered=19
 }
 
-// ExamplePlan_WithOverhead shows LOGP-style startup costs: every message
-// grows by o flits, and the schedule accounts for them.
-func ExamplePlan_WithOverhead() {
-	plan := sched.Plan{
-		{{Dst: 1}, {Dst: 1, Len: 3}},
-		nil,
-	}
-	over := plan.WithOverhead(2)
-	_, n0, _ := plan.Flits(2)
-	_, n1, _ := over.Flits(2)
+// ExampleWithOverhead shows LOGP-style startup costs: every message grows
+// by o flits, and the schedule accounts for them.
+func ExampleWithOverhead() {
+	plan := &work.Step{Sends: []work.Send{{Dst: 1}, {Dst: 1, Len: 3}}}
+	m := func() *bsp.Machine { return bsp.New(bsp.Config{P: 2, Cost: model.BSPm(1, 1), Seed: 1}) }
+	n0 := sched.NaiveSend(m(), plan).N
+	n1 := sched.NaiveSend(m(), sched.WithOverhead(plan, 2)).N
 	fmt.Println(n0, "->", n1)
 	// Output: 4 -> 8
 }

@@ -34,65 +34,42 @@
 // locally-limited algorithm dropped onto a globally-limited machine) and
 // OfflineSend (the derandomized schedule using exact prefix ranks, which is
 // the optimal offline schedule up to rounding).
+//
+// Every scheduler takes its traffic as a Plan: one work.Step, the superstep
+// type that generated and DAG-lowered workloads are made of, so any
+// superstep of a work.IR reaches all of them. Replay prices a Step at its
+// own slots instead of rescheduling it.
 package sched
 
 import (
 	"parbw/internal/bsp"
 	"parbw/internal/collective"
 	"parbw/internal/model"
+	"parbw/internal/work"
 )
 
-// Plan assigns each processor the messages it must send: Plan[i] are
-// processor i's outgoing messages (Dst and Len must be set; Src is filled by
-// the engine).
-type Plan [][]bsp.Msg
-
-// Flits returns per-processor flit counts x_i, the total n, and the
-// receive-side flit counts y_i.
-func (p Plan) Flits(procs int) (x []int, n int, y []int) {
-	x = make([]int, procs)
-	y = make([]int, procs)
-	for i, msgs := range p {
-		for _, msg := range msgs {
-			f := msg.Flits()
-			x[i] += f
-			n += f
-			y[msg.Dst] += f
-		}
-	}
-	return x, n, y
-}
-
-// MaxLen returns the maximum message length ℓ̂ in the plan (0 if empty).
-func (p Plan) MaxLen() int {
-	max := 0
-	for _, msgs := range p {
-		for _, msg := range msgs {
-			if f := msg.Flits(); f > max {
-				max = f
-			}
-		}
-	}
-	return max
-}
+// Plan is one superstep of scheduler traffic: each send's processor Proc
+// holds a message of Len flits (Len <= 1 is one flit) for Dst, carrying the
+// payload Tag/A/B/C. The schedulers ignore Slot and Work and choose their
+// own injection slots; Replay injects at Slot and charges Work. The sends
+// may be stored in any order: each processor's messages go out in their
+// stored order. Plan is an alias, so any superstep of a work.IR is a Plan.
+type Plan = *work.Step
 
 // WithOverhead returns a copy of the plan in which every message is
 // lengthened by o flits, modeling a startup cost of o per message (the
 // LOGP overhead parameter): the o extra flits occupy injection steps just
 // as payload flits do.
-func (p Plan) WithOverhead(o int) Plan {
+func WithOverhead(plan Plan, o int) Plan {
 	if o < 0 {
 		panic("sched: negative overhead")
 	}
-	out := make(Plan, len(p))
-	for i, msgs := range p {
-		out[i] = make([]bsp.Msg, len(msgs))
-		for j, msg := range msgs {
-			msg.Len = int32(msg.Flits() + o)
-			out[i][j] = msg
-		}
+	sends := make([]work.Send, len(plan.Sends))
+	for i, s := range plan.Sends {
+		s.Len = s.Flits() + o
+		sends[i] = s
 	}
-	return out
+	return &work.Step{Sends: sends}
 }
 
 // Options configures a scheduling run.
@@ -150,61 +127,73 @@ func (r Result) OptimalOffline(m, l int) model.Time {
 	return t
 }
 
-// compiled is a plan compacted for the sending hot loop: one contiguous
-// message array with per-processor row bounds and a per-message cumulative
-// flit offset, so the superstep body computes each injection slot with two
-// array reads and an add — no nested slices, no repeated Flits calls, and
-// no recomputation of the flit tallies that both the period computation and
-// the result assembly need. Compilation also validates the plan (shape and
-// destinations), subsuming the old checkPlan.
+// compiled indexes a plan for the sending hot loop without copying its
+// messages: idx lists the plan's sends grouped by processor (stable, so each
+// processor keeps its stored order), row bounds each processor's group, and
+// off holds each send's cumulative flit offset within its row, so a
+// superstep body computes each injection slot with two array reads and an
+// add and builds the bsp.Msg from its Send at injection. The flit tallies
+// that both the period computation and the result assembly need are
+// computed once, here.
 type compiled struct {
-	msgs []bsp.Msg // all rows concatenated in processor order
-	row  []int     // len p+1; msgs[row[i]:row[i+1]] is processor i's row
-	off  []int     // per-message flit offset within its row (cumulative)
-	x    []int     // per-processor flit counts x_i
-	y    []int     // per-destination flit counts y_i
-	n    int       // total flits
-
-	// slots, when non-nil, carries each message's explicit injection slot.
-	// Only compileIR fills it (IR sends are slot-scheduled; plans are not);
-	// Replay injects from it verbatim.
-	slots []int
+	sends []work.Send // the plan's sends, in stored order (not copied)
+	idx   []int32     // send indices in processor order
+	row   []int       // len p+1; idx[row[i]:row[i+1]] are processor i's sends
+	off   []int       // off[k]: flit offset of send idx[k] within its row
+	x     []int       // per-processor flit counts x_i
+	y     []int       // per-destination flit counts y_i
+	n     int         // total flits
 }
 
-// compile flattens and validates a plan against machine m. Validation is
-// CheckPlan's; callers that cannot tolerate a panic (generated or
-// adversarial plans) must run CheckPlan themselves first.
+// compile indexes and checks a plan against machine m in one linear pass
+// of work.CheckSends plus a counting placement — no sort and no size cap.
+// It panics on a plan CheckSends rejects; callers holding generated or
+// adversarial plans run work.CheckSends themselves first.
 func compile(m *bsp.Machine, plan Plan) *compiled {
 	p := m.P()
-	if err := CheckPlan(p, plan); err != nil {
+	sends := plan.Sends
+	if err := work.CheckSends(p, sends); err != nil {
 		panic(err.Error())
 	}
-	total := 0
-	for _, msgs := range plan {
-		total += len(msgs)
-	}
 	c := &compiled{
-		msgs: make([]bsp.Msg, 0, total),
-		row:  make([]int, p+1),
-		off:  make([]int, total),
-		x:    make([]int, p),
-		y:    make([]int, p),
+		sends: sends,
+		idx:   make([]int32, len(sends)),
+		row:   make([]int, p+1),
+		off:   make([]int, len(sends)),
+		x:     make([]int, p),
+		y:     make([]int, p),
 	}
-	for i, msgs := range plan {
-		c.row[i] = len(c.msgs)
-		acc := 0
-		for _, msg := range msgs {
-			c.off[len(c.msgs)] = acc
-			c.msgs = append(c.msgs, msg)
-			f := msg.Flits()
-			acc += f
-			c.y[msg.Dst] += f
-		}
-		c.x[i] = acc
-		c.n += acc
+	for i := range sends {
+		c.row[sends[i].Proc+1]++
 	}
-	c.row[p] = len(c.msgs)
+	for i := 1; i <= p; i++ {
+		c.row[i] += c.row[i-1]
+	}
+	// row[i] serves as processor i's placement cursor and ends at the
+	// start of row i+1; shifting it one place right restores the bounds.
+	for i := range sends {
+		s := &sends[i]
+		k := c.row[s.Proc]
+		c.row[s.Proc]++
+		c.idx[k] = int32(i)
+		c.off[k] = c.x[s.Proc]
+		f := s.Flits()
+		c.x[s.Proc] += f
+		c.y[s.Dst] += f
+	}
+	copy(c.row[1:], c.row[:p])
+	c.row[0] = 0
+	for _, xi := range c.x {
+		c.n += xi
+	}
 	return c
+}
+
+// inject sends the k-th message in processor order with its first flit at
+// slot.
+func (cp *compiled) inject(c *bsp.Ctx, k, slot int) {
+	s := &cp.sends[cp.idx[k]]
+	c.SendAt(slot, s.Dst, s.Msg())
 }
 
 // xbar returns max x_i, max y_i.
@@ -235,9 +224,7 @@ func learnN(m *bsp.Machine, x []int, opt Options) (n int, tau model.Time) {
 	return int(total), m.Time() - before
 }
 
-// finish assembles the Result from the compiled plan's precomputed tallies
-// (the pre-compaction code walked the ragged plan twice per run to recount
-// them).
+// finish assembles the Result from the compiled plan's precomputed tallies.
 func finish(cp *compiled, st bsp.Stats, tau model.Time, period int) Result {
 	xb, yb := cp.bars()
 	return Result{
@@ -265,14 +252,7 @@ func period(n, m int, eps float64) int {
 // cyclic allocation crosses the period boundary is sent straight through in
 // consecutive steps (additive ℓ̂).
 func UnbalancedSend(m *bsp.Machine, plan Plan, opt Options) Result {
-	return unbalancedSendCompiled(m, compile(m, plan), opt)
-}
-
-// unbalancedSendCompiled is UnbalancedSend's core over a pre-compiled plan —
-// shared by the Plan entry point and the IR entry point (UnbalancedSendIR),
-// which differ only in how they build the compiled form. The scheduler body
-// and its RNG draw order are exactly the pre-IR code.
-func unbalancedSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
+	cp := compile(m, plan)
 	n, tau := learnN(m, cp.x, opt)
 	T := period(n, m.Cost().M, opt.eps())
 	st := m.Superstep(func(c *bsp.Ctx) {
@@ -284,7 +264,7 @@ func unbalancedSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
 		if cp.x[i] > T {
 			// Overloaded processor: send everything consecutively from 0.
 			for k := lo; k < hi; k++ {
-				c.SendAt(cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
+				cp.inject(c, k, cp.off[k])
 			}
 			return
 		}
@@ -294,7 +274,7 @@ func unbalancedSendCompiled(m *bsp.Machine, cp *compiled, opt Options) Result {
 			// start; if the allocation would wrap past T the message simply
 			// runs past the period (at most one message per processor can
 			// cross, since x_i <= T).
-			c.SendAt((j+cp.off[k])%T, int(cp.msgs[k].Dst), cp.msgs[k])
+			cp.inject(c, k, (j+cp.off[k])%T)
 		}
 	})
 	return finish(cp, st, tau, T)
@@ -318,7 +298,7 @@ func UnbalancedConsecutiveSend(m *bsp.Machine, plan Plan, opt Options) Result {
 			slot = c.RNG().Intn(T)
 		}
 		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(slot+cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
+			cp.inject(c, k, slot+cp.off[k])
 		}
 	})
 	return finish(cp, st, tau, T)
@@ -357,7 +337,7 @@ func UnbalancedGranularSend(m *bsp.Machine, plan Plan, opt Options) Result {
 			}
 		}
 		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(slot+cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
+			cp.inject(c, k, slot+cp.off[k])
 		}
 	})
 	return finish(cp, st, tau, T)
@@ -369,14 +349,11 @@ func UnbalancedGranularSend(m *bsp.Machine, plan Plan, opt Options) Result {
 // exponential penalty, is catastrophically slow; it is the ablation baseline
 // for the value of scheduling.
 func NaiveSend(m *bsp.Machine, plan Plan) Result {
-	return naiveSendCompiled(m, compile(m, plan))
-}
-
-func naiveSendCompiled(m *bsp.Machine, cp *compiled) Result {
+	cp := compile(m, plan)
 	st := m.Superstep(func(c *bsp.Ctx) {
 		i := c.ID()
 		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt(cp.off[k], int(cp.msgs[k].Dst), cp.msgs[k])
+			cp.inject(c, k, cp.off[k])
 		}
 	})
 	return finish(cp, st, 0, 0)
@@ -409,7 +386,7 @@ func OfflineSend(m *bsp.Machine, plan Plan) Result {
 		i := c.ID()
 		base := rank[i]
 		for k := cp.row[i]; k < cp.row[i+1]; k++ {
-			c.SendAt((base+cp.off[k])%T, int(cp.msgs[k].Dst), cp.msgs[k])
+			cp.inject(c, k, (base+cp.off[k])%T)
 		}
 	})
 	return finish(cp, st, 0, T)
@@ -443,13 +420,13 @@ func TemplateSend(m *bsp.Machine, plan Plan, sep int, opt Options) Result {
 		if cp.x[i]*stride > T {
 			// Overloaded: consecutive with the required separation, from 0.
 			for k := lo; k < hi; k++ {
-				c.SendAt(cp.off[k]+(k-lo)*sep, int(cp.msgs[k].Dst), cp.msgs[k])
+				cp.inject(c, k, cp.off[k]+(k-lo)*sep)
 			}
 			return
 		}
 		j := c.RNG().Intn(T)
 		for k := lo; k < hi; k++ {
-			c.SendAt((j+cp.off[k]+(k-lo)*sep)%T, int(cp.msgs[k].Dst), cp.msgs[k])
+			cp.inject(c, k, (j+cp.off[k]+(k-lo)*sep)%T)
 		}
 	})
 	return finish(cp, st, tau, T)

@@ -2,11 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"parbw/internal/bsp"
 	"parbw/internal/model"
+	"parbw/internal/work"
 	"parbw/internal/xrand"
 )
 
@@ -33,13 +36,31 @@ func deliveredFlits(m *bsp.Machine) (flits int, sum int64) {
 }
 
 func planChecksum(plan Plan) (flits int, sum int64) {
-	for _, msgs := range plan {
-		for _, msg := range msgs {
-			flits += msg.Flits()
-			sum += msg.A
-		}
+	for _, s := range plan.Sends {
+		flits += s.Flits()
+		sum += s.A
 	}
 	return flits, sum
+}
+
+// rowsPlan builds a plan from per-processor rows of sends, stamping each
+// send's Proc with its row.
+func rowsPlan(rows ...[]work.Send) Plan {
+	plan := &work.Step{}
+	for i, row := range rows {
+		for _, s := range row {
+			s.Proc = i
+			plan.Sends = append(plan.Sends, s)
+		}
+	}
+	return plan
+}
+
+// tally compiles plan for a p-processor machine and returns its flit
+// tallies: per-processor x_i, the total n, and per-destination y_i.
+func tally(plan Plan, p int) (x []int, n int, y []int) {
+	cp := compile(machine(p, 1, 1, 1), plan)
+	return cp.x, cp.n, cp.y
 }
 
 type algo struct {
@@ -66,7 +87,7 @@ func TestAllAlgorithmsDeliverEverything(t *testing.T) {
 		"halfhalf": HalfHalfPlan(rng, p, 20, 1),
 		"perm":     PermutationPlan(rng, p),
 		"exchange": UnbalancedExchangePlan(rng, p, 3),
-		"empty":    make(Plan, p),
+		"empty":    &work.Step{},
 	}
 	for _, a := range algos {
 		for name, plan := range plans {
@@ -228,7 +249,7 @@ func TestKnownNSkipsTau(t *testing.T) {
 	rng := xrand.New(8)
 	p := 16
 	plan := UniformPlan(rng, p, 4)
-	_, n, _ := plan.Flits(p)
+	_, n, _ := tally(plan, p)
 	m := machine(p, 8, 2, 17)
 	res := UnbalancedSend(m, plan, Options{KnownN: n})
 	if res.Tau != 0 {
@@ -258,19 +279,19 @@ func TestWithOverhead(t *testing.T) {
 	p := 8
 	plan := PermutationPlan(rng, p)
 	o := 3
-	over := plan.WithOverhead(o)
-	x0, n0, _ := plan.Flits(p)
-	x1, n1, _ := over.Flits(p)
+	over := WithOverhead(plan, o)
+	x0, n0, _ := tally(plan, p)
+	x1, n1, _ := tally(over, p)
 	if n1 != n0+o*p {
 		t.Fatalf("overhead total = %d, want %d", n1, n0+o*p)
 	}
 	for i := range x0 {
-		if x1[i] != x0[i]+o*len(plan[i]) {
+		if x1[i] != x0[i]+o {
 			t.Fatalf("proc %d overhead flits = %d, want %d", i, x1[i], x0[i]+o)
 		}
 	}
 	// Original plan untouched.
-	if plan[0][0].Flits() != 1 {
+	if plan.Sends[0].Flits() != 1 {
 		t.Fatal("WithOverhead mutated the original plan")
 	}
 }
@@ -281,27 +302,39 @@ func TestWithOverheadNegativePanics(t *testing.T) {
 			t.Fatal("negative overhead accepted")
 		}
 	}()
-	Plan{}.WithOverhead(-1)
+	WithOverhead(&work.Step{}, -1)
 }
 
+// compile's flit tallies and processor-order index, over a plan whose
+// sends interleave processors: each row keeps its stored order and its
+// cumulative flit offsets.
 func TestPlanFlits(t *testing.T) {
-	plan := Plan{
-		{{Dst: 1, Len: 3}, {Dst: 2}},
-		{{Dst: 0}},
-		nil,
+	plan := &work.Step{Sends: []work.Send{
+		{Proc: 1, Dst: 0, A: 10},
+		{Proc: 0, Dst: 1, Len: 3, A: 20},
+		{Proc: 0, Dst: 2, A: 30},
+	}}
+	cp := compile(machine(3, 1, 1, 1), plan)
+	if cp.n != 5 {
+		t.Fatalf("n = %d, want 5", cp.n)
 	}
-	x, n, y := plan.Flits(3)
-	if n != 5 {
-		t.Fatalf("n = %d, want 5", n)
-	}
-	if x[0] != 4 || x[1] != 1 || x[2] != 0 {
+	if x := cp.x; x[0] != 4 || x[1] != 1 || x[2] != 0 {
 		t.Fatalf("x = %v", x)
 	}
-	if y[0] != 1 || y[1] != 3 || y[2] != 1 {
+	if y := cp.y; y[0] != 1 || y[1] != 3 || y[2] != 1 {
 		t.Fatalf("y = %v", y)
 	}
-	if plan.MaxLen() != 3 {
-		t.Fatalf("MaxLen = %d", plan.MaxLen())
+	if want := []int{0, 2, 3, 3}; !slices.Equal(cp.row, want) {
+		t.Fatalf("row = %v, want %v", cp.row, want)
+	}
+	if want := []int32{1, 2, 0}; !slices.Equal(cp.idx, want) {
+		t.Fatalf("idx = %v, want %v", cp.idx, want)
+	}
+	if want := []int{0, 3, 0}; !slices.Equal(cp.off, want) {
+		t.Fatalf("off = %v, want %v", cp.off, want)
+	}
+	if &cp.sends[0] != &plan.Sends[0] {
+		t.Fatal("compile copied the plan's sends")
 	}
 }
 
@@ -326,17 +359,17 @@ func TestBadPlanPanics(t *testing.T) {
 			t.Fatal("invalid dst accepted")
 		}
 	}()
-	UnbalancedSend(m, Plan{{{Dst: 9}}, nil, nil, nil}, Options{})
+	UnbalancedSend(m, rowsPlan([]work.Send{{Dst: 9}}), Options{})
 }
 
 func TestPlanSizeMismatchPanics(t *testing.T) {
 	m := machine(4, 2, 1, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("short plan accepted")
+			t.Fatal("plan for a larger machine accepted")
 		}
 	}()
-	NaiveSend(m, Plan{nil})
+	NaiveSend(m, rowsPlan(nil, nil, nil, nil, []work.Send{{Dst: 0}}))
 }
 
 // Self-scheduling cost metric: the same plan on the self-scheduling BSP(m)
@@ -413,7 +446,7 @@ func TestTemplateSendNegativePanics(t *testing.T) {
 			t.Fatal("negative sep accepted")
 		}
 	}()
-	TemplateSend(m, make(Plan, 4), -1, Options{})
+	TemplateSend(m, &work.Step{}, -1, Options{})
 }
 
 // The separation property itself: in the sending superstep, consecutive
@@ -421,10 +454,10 @@ func TestTemplateSendNegativePanics(t *testing.T) {
 // via the per-proc slot sets recomputed from a fresh deterministic run).
 func TestTemplateSendRespectsSeparation(t *testing.T) {
 	p, mm, sep := 16, 8, 2
-	plan := make(Plan, p)
-	for i := range plan {
+	plan := &work.Step{}
+	for i := 0; i < p; i++ {
 		for k := 0; k < 5; k++ {
-			plan[i] = append(plan[i], bsp.Msg{Dst: int32((i + 1) % p)})
+			plan.Sends = append(plan.Sends, work.Send{Proc: i, Dst: (i + 1) % p})
 		}
 	}
 	m := machine(p, mm, 2, 35)
@@ -433,5 +466,68 @@ func TestTemplateSendRespectsSeparation(t *testing.T) {
 	// (5-1)*3+1 slots for every processor.
 	if r.Send.Steps < (5-1)*(sep+1)+1 {
 		t.Fatalf("superstep spans %d steps, separation not honored", r.Send.Steps)
+	}
+}
+
+// interleave returns plan's sends in a random order across processors that
+// keeps each processor's own order: at each step it takes the next send of
+// a random processor that still has one.
+func interleave(plan Plan, p int, rng *xrand.Source) Plan {
+	rows := make([][]work.Send, p)
+	for _, s := range plan.Sends {
+		rows[s.Proc] = append(rows[s.Proc], s)
+	}
+	out := &work.Step{}
+	for len(out.Sends) < len(plan.Sends) {
+		if i := rng.Intn(p); len(rows[i]) > 0 {
+			out.Sends = append(out.Sends, rows[i][0])
+			rows[i] = rows[i][1:]
+		}
+	}
+	return out
+}
+
+// The stored order of a plan's sends across processors does not matter: a
+// step whose sends are shuffled across processors, each processor's own
+// order kept, schedules and delivers exactly like the same step in
+// processor order — the same Result and the same inboxes, message for
+// message — under every scheduler and under Replay.
+func TestShuffledPlanMatchesProcessorOrder(t *testing.T) {
+	rng := xrand.New(41)
+	p, mm, l := 16, 4, 2
+	ordered := UnbalancedExchangePlan(rng, p, 4)
+	next := make([]int, p) // dense slots, so Replay can run the plan too
+	for i := range ordered.Sends {
+		s := &ordered.Sends[i]
+		s.Slot, s.B = next[s.Proc], int64(i)
+		next[s.Proc] += s.Flits()
+	}
+	shuffled := interleave(ordered, p, rng)
+	if slices.Equal(shuffled.Sends, ordered.Sends) {
+		t.Fatal("interleave left the plan in processor order")
+	}
+	inboxes := func(m *bsp.Machine) [][]bsp.Msg {
+		out := make([][]bsp.Msg, p)
+		for i := range out {
+			out[i] = slices.Clone(m.Inbox(i))
+		}
+		return out
+	}
+	runs := append(slices.Clone(algos),
+		algo{"TemplateSend", func(m *bsp.Machine, plan Plan, opt Options) Result { return TemplateSend(m, plan, 1, opt) }},
+		algo{"Replay", func(m *bsp.Machine, plan Plan, _ Options) Result { return Result{Send: Replay(m, plan)} }})
+	for _, a := range runs {
+		ma, mb := machine(p, mm, l, 5), machine(p, mm, l, 5)
+		ra := a.run(ma, ordered, Options{Eps: 0.5})
+		rb := a.run(mb, shuffled, Options{Eps: 0.5})
+		if ra != rb {
+			t.Errorf("%s: processor-order result %+v != shuffled result %+v", a.name, ra, rb)
+		}
+		if ia, ib := inboxes(ma), inboxes(mb); !reflect.DeepEqual(ia, ib) {
+			t.Errorf("%s: deliveries differ between processor order and shuffled order", a.name)
+		}
+		if ma.Time() != mb.Time() {
+			t.Errorf("%s: machine time %v != %v", a.name, ma.Time(), mb.Time())
+		}
 	}
 }

@@ -4,18 +4,19 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parbw/internal/work"
 	"parbw/internal/xrand"
 )
 
+// validPlan reports whether a generated plan passes work.CheckSends and
+// stores its sends in processor order, as every generator promises.
 func validPlan(plan Plan, p int) bool {
-	for _, msgs := range plan {
-		for _, msg := range msgs {
-			if int(msg.Dst) < 0 || int(msg.Dst) >= p {
-				return false
-			}
+	for i := 1; i < len(plan.Sends); i++ {
+		if plan.Sends[i].Proc < plan.Sends[i-1].Proc {
+			return false
 		}
 	}
-	return len(plan) == p
+	return work.CheckSends(p, plan.Sends) == nil
 }
 
 func TestUniformPlanShape(t *testing.T) {
@@ -25,7 +26,7 @@ func TestUniformPlanShape(t *testing.T) {
 	if !validPlan(plan, p) {
 		t.Fatal("invalid plan")
 	}
-	x, n, _ := plan.Flits(p)
+	x, n, _ := tally(plan, p)
 	if n != p*per {
 		t.Fatalf("n = %d, want %d", n, p*per)
 	}
@@ -41,18 +42,18 @@ func TestPointPlanShape(t *testing.T) {
 	if !validPlan(plan, 16) {
 		t.Fatal("invalid plan")
 	}
-	x, n, _ := plan.Flits(16)
+	x, n, _ := tally(plan, 16)
 	if n != 100 || x[0] != 100 {
 		t.Fatalf("point plan x=%v n=%d", x, n)
 	}
-	for _, msg := range plan[0] {
-		if msg.Dst == 0 {
-			t.Fatal("point plan sends to itself")
+	for _, s := range plan.Sends {
+		if s.Proc != 0 || s.Dst == 0 {
+			t.Fatal("point plan sends from another processor or to itself")
 		}
 	}
 	// Single-processor degenerate case must not panic.
 	p1 := PointPlan(1, 3)
-	if len(p1[0]) != 3 {
+	if len(p1.Sends) != 3 {
 		t.Fatal("p=1 point plan wrong")
 	}
 }
@@ -64,7 +65,7 @@ func TestZipfPlanSkew(t *testing.T) {
 	if !validPlan(plan, p) {
 		t.Fatal("invalid plan")
 	}
-	x, total, _ := plan.Flits(p)
+	x, total, _ := tally(plan, p)
 	if total != n {
 		t.Fatalf("total = %d", total)
 	}
@@ -83,7 +84,7 @@ func TestHalfHalfPlanShape(t *testing.T) {
 	rng := xrand.New(3)
 	p := 16
 	plan := HalfHalfPlan(rng, p, 10, 2)
-	x, _, _ := plan.Flits(p)
+	x, _, _ := tally(plan, p)
 	for i := 0; i < p/2; i++ {
 		if x[i] != 10 {
 			t.Fatalf("heavy half x[%d] = %d", i, x[i])
@@ -101,7 +102,7 @@ func TestPermutationPlanIsPermutation(t *testing.T) {
 		rng := xrand.New(seed)
 		p := 2 + int(seed%30)
 		plan := PermutationPlan(rng, p)
-		_, n, y := plan.Flits(p)
+		_, n, y := tally(plan, p)
 		if n != p {
 			return false
 		}
@@ -120,7 +121,7 @@ func TestPermutationPlanIsPermutation(t *testing.T) {
 func TestTotalExchangePlanShape(t *testing.T) {
 	p, fl := 8, 3
 	plan := TotalExchangePlan(p, fl)
-	x, n, y := plan.Flits(p)
+	x, n, y := tally(plan, p)
 	if n != p*(p-1)*fl {
 		t.Fatalf("n = %d", n)
 	}
@@ -130,11 +131,9 @@ func TestTotalExchangePlanShape(t *testing.T) {
 		}
 	}
 	// No self-messages.
-	for i, msgs := range plan {
-		for _, msg := range msgs {
-			if int(msg.Dst) == i {
-				t.Fatal("self message in total exchange")
-			}
+	for _, s := range plan.Sends {
+		if s.Dst == s.Proc {
+			t.Fatal("self message in total exchange")
 		}
 	}
 }
@@ -146,15 +145,17 @@ func TestUnbalancedExchangePlanBounds(t *testing.T) {
 	if !validPlan(plan, p) {
 		t.Fatal("invalid plan")
 	}
-	if plan.MaxLen() > maxLen {
-		t.Fatalf("length %d exceeds max %d", plan.MaxLen(), maxLen)
+	for _, s := range plan.Sends {
+		if s.Len < 1 || s.Len > maxLen {
+			t.Fatalf("length %d outside [1, %d]", s.Len, maxLen)
+		}
 	}
 }
 
 func TestSkewedExchangePlanShape(t *testing.T) {
 	p := 16
 	plan := SkewedExchangePlan(p, 2, 8, 1)
-	x, _, _ := plan.Flits(p)
+	x, _, _ := tally(plan, p)
 	if x[0] != (p-1)*8 || x[1] != (p-1)*8 {
 		t.Fatalf("heavy senders wrong: %v", x[:2])
 	}
@@ -163,8 +164,30 @@ func TestSkewedExchangePlanShape(t *testing.T) {
 	}
 	// lightLen = 0 drops light senders entirely.
 	plan0 := SkewedExchangePlan(p, 2, 8, 0)
-	x0, _, _ := plan0.Flits(p)
+	x0, _, _ := tally(plan0, p)
 	if x0[5] != 0 {
 		t.Fatal("lightLen=0 still sends")
+	}
+}
+
+// Every generator stores its sends in processor order, so compile's index
+// walks them sequentially.
+func TestGeneratorsEmitProcessorOrder(t *testing.T) {
+	rng := xrand.New(5)
+	p := 24
+	plans := map[string]Plan{
+		"uniform":    UniformPlan(rng, p, 3),
+		"point":      PointPlan(p, 50),
+		"zipf":       ZipfPlan(rng, p, 500, 1.2),
+		"halfhalf":   HalfHalfPlan(rng, p, 5, 1),
+		"perm":       PermutationPlan(rng, p),
+		"total":      TotalExchangePlan(p, 2),
+		"unbalanced": UnbalancedExchangePlan(rng, p, 3),
+		"skewed":     SkewedExchangePlan(p, 3, 4, 1),
+	}
+	for name, plan := range plans {
+		if !validPlan(plan, p) {
+			t.Errorf("%s: sends invalid or not in processor order", name)
+		}
 	}
 }

@@ -2,12 +2,11 @@ package work
 
 import "fmt"
 
-// Builder assembles an IR imperatively — the replacement for the ad-hoc
-// [][]bsp.Msg plan literals harness experiment bodies used to build. It
-// keeps a per-processor slot cursor within the current superstep so callers
-// can append sends without slot arithmetic: Send packs densely after the
-// processor's previous send, SendAt pins an explicit slot and advances the
-// cursor past it. Finalize with IR(), which seals the declared totals.
+// Builder assembles an IR imperatively. It keeps a per-processor slot
+// cursor within the current superstep so callers can append sends without
+// slot arithmetic: Send packs densely after the processor's previous send,
+// SendAt pins an explicit slot and advances the cursor past it. Finalize
+// with IR(), which seals the declared totals.
 type Builder struct {
 	ir   IR
 	next []int // per-proc next free slot in the current superstep

@@ -2,6 +2,7 @@ package work
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +57,49 @@ func TestValidateSlotScheduleTable(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("Validate = %v, want error containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// CheckSends is the endpoint-and-length rule alone: no resource cap, no
+// slot or overlap check, and it reports the offending send's index.
+func TestCheckSendsTable(t *testing.T) {
+	cases := []struct {
+		name    string
+		p       int
+		sends   []Send
+		wantErr string // substring of the error, "" = valid
+		index   int
+	}{
+		{"empty", 2, nil, "", 0},
+		{"valid unit", 2, []Send{{Proc: 0, Dst: 1}, {Proc: 1, Dst: 0}}, "", 0},
+		{"valid long", 2, []Send{{Proc: 0, Dst: 1, Len: 5}}, "", 0},
+		{"nil rows", 3, []Send{{Proc: 0, Dst: 2}}, "", 0},
+		{"slots ignored", 2, []Send{{Proc: 0, Slot: -4, Dst: 1}, {Proc: 0, Slot: -4, Dst: 1}}, "", 0},
+		{"above the IR caps", 4 * MaxP, []Send{{Proc: 4*MaxP - 1, Dst: 3 * MaxP, Len: 4 * MaxMsgLen}}, "", 0},
+		{"proc too big", 2, []Send{{Proc: 0, Dst: 1}, {Proc: 2, Dst: 0}}, "send 1 from invalid proc 2", 1},
+		{"proc negative", 2, []Send{{Proc: -1, Dst: 0}}, "invalid proc -1", 0},
+		{"dst too big", 2, []Send{{Proc: 0, Dst: 2}}, "invalid dst 2", 0},
+		{"dst negative", 2, []Send{{Proc: 1, Dst: -1}}, "invalid dst -1", 0},
+		{"negative len", 2, []Send{{Proc: 0, Dst: 0, Len: -3}}, "negative length -3", 0},
+		{"negative procs", -1, []Send{{Proc: 0, Dst: 0}}, "invalid proc 0", 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := CheckSends(c.p, c.sends)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("CheckSends = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("CheckSends = %v, want error containing %q", err, c.wantErr)
+			}
+			var we *Error
+			if !errors.As(err, &we) || we.Step != -1 || we.Index != c.index {
+				t.Fatalf("error %#v, want *Error with Step -1 and Index %d", err, c.index)
 			}
 		})
 	}

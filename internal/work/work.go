@@ -5,11 +5,18 @@
 // with an optional precedence layer recording the computational DAG a
 // schedule was lowered from.
 //
-// sched compiles IR supersteps straight into its flat message arrays,
+// One Step is also the unit of scheduler traffic: every sched scheduler
+// takes one superstep's sends (sched.Plan is an alias of *Step) and ignores
+// their slots, drawing its own; sched.Replay injects them at their slots.
 // workgen families emit IR, the oracle invariants, the shrinker and the
 // regression corpus take IR, and harness bodies assemble IR through
 // Builder. work/dagsched lowers computational DAGs into the same
 // representation.
+//
+// Two checks guard the sends. CheckSends is the one-pass endpoint and
+// length rule every consumer relies on, at any p; Validate adds the
+// resource caps and the slot-overlap sweep that input from outside the
+// program (the fuzz corpus, decoded files) must also pass.
 //
 // The IR encodes byte-stably: compact JSON in struct declaration order,
 // newline-terminated, so identical IRs encode to identical bytes on every
@@ -42,8 +49,8 @@ const (
 // Send is one slot-scheduled injection: processor Proc injects a message of
 // Len flits to Dst with its first flit entering the network at slot Slot.
 // Len <= 1 occupies one slot, mirroring bsp.Msg.Flits. Tag/A/B/C carry the
-// algorithm payload of plan-style messages (Builder.SendMsg), which Rows
-// hands back intact; generated workloads leave them zero.
+// algorithm payload, which Msg hands to the engine intact; generated
+// workloads leave them zero.
 type Send struct {
 	Proc int   `json:"proc"`
 	Slot int   `json:"slot"`
@@ -154,9 +161,10 @@ func Decode(data []byte) (*IR, error) {
 	return &ir, nil
 }
 
-// Error reports why an IR failed validation. Step is the offending
-// superstep and Index the offending send within it; both are -1 for shape,
-// work, or precedence errors with no single offending send.
+// Error reports why an IR or a superstep's sends failed a check. Step is
+// the offending superstep and Index the offending send within it; both are
+// -1 for shape, work, or precedence errors with no single offending send,
+// and Step is -1 for CheckSends, which sees one superstep's sends alone.
 type Error struct {
 	Step   int
 	Index  int
@@ -170,9 +178,8 @@ func shapeErr(format string, args ...any) error {
 }
 
 // Validate checks that the IR is structurally sound and small enough to
-// simulate. It subsumes the rejection semantics of sched.CheckPlan: machine
-// shape in range, step/send counts under the resource caps, every send's
-// endpoints inside the machine with non-negative slot and length, no
+// simulate: machine shape in range, step/send counts under the resource
+// caps, every send passing CheckSends with a non-negative slot, no
 // processor injecting two flits in the same slot (multi-flit spans
 // included), work vectors no longer than P with non-negative entries, and —
 // when a precedence layer is present — every node placed inside the machine
@@ -217,20 +224,45 @@ func (ir *IR) Validate() error {
 	return checkPrec(ir.P, len(ir.Steps), ir.Prec)
 }
 
-// checkStepSends validates one superstep's sends: endpoint ranges, slot and
-// length signs, the resource caps, and the per-processor overlap sweep —
-// the error-returning analogue of the engine's injection validation. Sends
-// by distinct processors may share a slot; that is contention, which the
+// CheckSends is the rule every consumer of a superstep's sends relies on:
+// each send's Proc and Dst lie in [0, p) and its Len is non-negative. It is
+// one linear pass with no resource cap and no allocation, so the schedulers
+// run it at any p; Validate applies the same rule to every superstep and adds
+// its caps and overlap sweep for input from outside the program. It never
+// panics.
+func CheckSends(p int, sends []Send) error {
+	for i := range sends {
+		if reason := sendFault(p, i, &sends[i]); reason != "" {
+			return &Error{Step: -1, Index: i, Reason: reason}
+		}
+	}
+	return nil
+}
+
+// sendFault is CheckSends' rule for send i: the reason it breaks the rule,
+// or "" if it keeps it.
+func sendFault(p, i int, s *Send) string {
+	switch {
+	case s.Proc < 0 || s.Proc >= p:
+		return fmt.Sprintf("send %d from invalid proc %d (p=%d)", i, s.Proc, p)
+	case s.Dst < 0 || s.Dst >= p:
+		return fmt.Sprintf("proc %d send %d to invalid dst %d (p=%d)", s.Proc, i, s.Dst, p)
+	case s.Len < 0:
+		return fmt.Sprintf("proc %d send %d has negative length %d", s.Proc, i, s.Len)
+	}
+	return ""
+}
+
+// checkStepSends validates one superstep's sends: CheckSends' rule, slot
+// signs, the resource caps, and the per-processor overlap sweep — the
+// error-returning analogue of the engine's injection validation. Sends by
+// distinct processors may share a slot; that is contention, which the
 // models price rather than forbid.
 func checkStepSends(p, si int, sends []Send) error {
-	for i, s := range sends {
-		if s.Proc < 0 || s.Proc >= p {
-			return &Error{Step: si, Index: i,
-				Reason: fmt.Sprintf("superstep %d: send %d from invalid proc %d (p=%d)", si, i, s.Proc, p)}
-		}
-		if s.Dst < 0 || s.Dst >= p {
-			return &Error{Step: si, Index: i,
-				Reason: fmt.Sprintf("superstep %d: proc %d send %d to invalid dst %d (p=%d)", si, s.Proc, i, s.Dst, p)}
+	for i := range sends {
+		s := &sends[i]
+		if reason := sendFault(p, i, s); reason != "" {
+			return &Error{Step: si, Index: i, Reason: fmt.Sprintf("superstep %d: %s", si, reason)}
 		}
 		if s.Slot < 0 {
 			return &Error{Step: si, Index: i,
@@ -239,10 +271,6 @@ func checkStepSends(p, si int, sends []Send) error {
 		if s.Slot > MaxSlot {
 			return &Error{Step: si, Index: i,
 				Reason: fmt.Sprintf("superstep %d: slot %d exceeds cap %d", si, s.Slot, MaxSlot)}
-		}
-		if s.Len < 0 {
-			return &Error{Step: si, Index: i,
-				Reason: fmt.Sprintf("superstep %d: proc %d send %d has negative length %d", si, s.Proc, i, s.Len)}
 		}
 		if s.Len > MaxMsgLen {
 			return &Error{Step: si, Index: i,
@@ -345,17 +373,6 @@ func (ir *IR) Hist(step int) []int {
 		}
 	}
 	return hist
-}
-
-// Rows projects one superstep into per-processor message rows — the
-// sched.Plan shape, slots dropped (the randomized schedulers choose their
-// own). Messages keep their stored order within each processor's row.
-func (ir *IR) Rows(step int) [][]bsp.Msg {
-	rows := make([][]bsp.Msg, ir.P)
-	for _, s := range ir.Steps[step].Sends {
-		rows[s.Proc] = append(rows[s.Proc], s.Msg())
-	}
-	return rows
 }
 
 // Clone returns a deep copy of the IR.

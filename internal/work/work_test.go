@@ -212,36 +212,33 @@ func TestHist(t *testing.T) {
 	}
 }
 
-func TestRowsRoundTrip(t *testing.T) {
-	rows := [][]bsp.Msg{
-		{{Dst: 1, Len: 2, Tag: 3, A: 41, B: -2, C: 9}, {Dst: 2, A: 5}},
-		nil,
-		{{Dst: 0, Len: 1}},
+// Builder.SendMsg packs each processor's algorithm messages densely in call
+// order, and Send.Msg hands the engine the payload intact (Src is left for
+// the engine to fill at injection).
+func TestSendMsgPayloadRoundTrip(t *testing.T) {
+	msgs := []struct {
+		proc int
+		msg  bsp.Msg
+	}{
+		{0, bsp.Msg{Dst: 1, Len: 2, Tag: 3, A: 41, B: -2, C: 9}},
+		{0, bsp.Msg{Dst: 2, A: 5}},
+		{2, bsp.Msg{Dst: 0, Len: 1}},
 	}
-	b := NewBuilder(len(rows), 2, 4)
+	b := NewBuilder(3, 2, 4)
 	b.Step()
-	for proc, msgs := range rows {
-		for _, m := range msgs {
-			b.SendMsg(proc, Send{Dst: int(m.Dst), Len: int(m.Len), Tag: m.Tag, A: m.A, B: m.B, C: m.C})
-		}
+	for _, pm := range msgs {
+		m := pm.msg
+		b.SendMsg(pm.proc, Send{Dst: int(m.Dst), Len: int(m.Len), Tag: m.Tag, A: m.A, B: m.B, C: m.C})
 	}
 	ir := b.MustIR()
 	// Dense packing: proc 0's second send starts after the first's 2 flits.
 	if ir.Steps[0].Sends[1].Slot != 2 {
 		t.Fatalf("second send slot = %d, want 2", ir.Steps[0].Sends[1].Slot)
 	}
-	back := ir.Rows(0)
-	if len(back) != len(rows) {
-		t.Fatalf("rows len = %d", len(back))
-	}
-	for p := range rows {
-		if len(back[p]) != len(rows[p]) {
-			t.Fatalf("proc %d: %d msgs, want %d", p, len(back[p]), len(rows[p]))
-		}
-		for i := range rows[p] {
-			if back[p][i] != rows[p][i] {
-				t.Fatalf("proc %d msg %d: %+v != %+v", p, i, back[p][i], rows[p][i])
-			}
+	for k, pm := range msgs {
+		s := ir.Steps[0].Sends[k]
+		if s.Proc != pm.proc || s.Msg() != pm.msg {
+			t.Fatalf("send %d: proc %d msg %+v, want proc %d msg %+v", k, s.Proc, s.Msg(), pm.proc, pm.msg)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"parbw/internal/bsp"
+	"parbw/internal/model"
 	"parbw/internal/sched"
 	"parbw/internal/work"
 )
@@ -159,11 +161,12 @@ func TestValidateRejectsTable(t *testing.T) {
 func TestPlanAndHist(t *testing.T) {
 	w := Generate(GenConfig{Family: FamilyHRel, Seed: 9, P: 6, M: 3, Steps: 2})
 	for step := range w.Steps {
-		plan := sched.Plan(w.Rows(step))
-		if err := sched.CheckPlan(w.P, plan); err != nil {
+		plan := &w.Steps[step]
+		if err := work.CheckSends(w.P, plan.Sends); err != nil {
 			t.Fatalf("step %d: Plan invalid: %v", step, err)
 		}
-		_, n, _ := plan.Flits(w.P)
+		m := bsp.New(bsp.Config{P: w.P, Cost: model.BSPm(w.M, w.L), Seed: 1})
+		n := sched.NaiveSend(m, plan).N
 		hist := w.Hist(step)
 		histTotal := 0
 		for _, c := range hist {
